@@ -1,4 +1,4 @@
-//! Connection-scale socket benchmark: drive 1 000–10 000 concurrent TCP
+//! Connection-scale socket benchmark: drive 256–10 000 concurrent TCP
 //! connections through the ψ-net wire protocol and record what the
 //! coalescer does with a serving-scale flush window.
 //!
@@ -14,10 +14,8 @@
 //! the identical request sequence through the coalescing handle — a
 //! dropped, corrupted or mis-routed answer fails the binary.
 //!
-//! The evented sweep is clamped to the process fd budget (a loopback
-//! connection costs two descriptors in-process); clamping is logged, never
-//! silent. The threaded transport is swept only to 1 000 connections —
-//! thread-per-connection is exactly the regime the evented loop replaces.
+//! The sweep is clamped to the process fd budget (a loopback connection
+//! costs two descriptors in-process); clamping is logged, never silent.
 //!
 //! Usage:
 //! `cargo run --release -p psi-bench --bin bench_net [-- --n 50000 --rounds 20 --out BENCH_net.json --smoke]`
@@ -25,7 +23,7 @@
 use psi::registry::{self, BuildOptions};
 use psi::PointI;
 use psi_net::loadgen::{fanout, replay_checksum, FanoutSpec};
-use psi_net::{fd_budget, loopback, NetConfig, NetServer, Transport};
+use psi_net::{fd_budget, loopback, NetConfig, NetServer};
 use psi_server::{IndexFactory, PsiServer, ServeConfig};
 use psi_workloads as workloads;
 use std::sync::Arc;
@@ -46,7 +44,6 @@ struct Cell {
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     family: &'static str,
-    transport: Transport,
     data: &[PointI<2>],
     queries: &[PointI<2>],
     rects: &[psi_geometry::RectI<2>],
@@ -71,31 +68,22 @@ fn run_cell(
         },
         factory,
     ));
-    let net = NetServer::spawn(
-        Arc::clone(&server),
-        loopback(),
-        NetConfig {
-            transport,
-            coalesce: true,
-        },
-    )
-    .expect("bind loopback");
+    let net = NetServer::spawn(Arc::clone(&server), loopback(), NetConfig::default())
+        .expect("bind loopback");
     let spec = FanoutSpec {
         connections,
         ..spec_base.clone()
     };
-    let out = fanout(net.addr(), queries, rects, &spec)
-        .unwrap_or_else(|e| panic!("{} x{connections}: {e}", transport.name()));
+    let out =
+        fanout(net.addr(), queries, rects, &spec).unwrap_or_else(|e| panic!("x{connections}: {e}"));
     let (served, flushes) = server.coalesce_stats();
     let mut handle = server.client();
     let replay = replay_checksum(&mut handle, queries, rects, &spec);
     drop(handle);
     net.shutdown();
     assert_eq!(
-        out.checksum,
-        replay,
-        "{} x{connections}: socket answers diverged from in-process replay",
-        transport.name()
+        out.checksum, replay,
+        "x{connections}: socket answers diverged from in-process replay"
     );
     Cell {
         connections: out.connections,
@@ -159,16 +147,10 @@ fn main() {
     // end + accepted end), plus headroom for listener/epoll/wakeup fds.
     let budget = fd_budget();
     let max_conns = (budget / 2).saturating_sub(64).max(1);
-    let sweeps: &[(Transport, &[usize])] = if smoke {
-        &[
-            (Transport::Threaded, &[64]),
-            (Transport::Evented, &[64, 256]),
-        ]
+    let counts: &[usize] = if smoke {
+        &[64, 256]
     } else {
-        &[
-            (Transport::Threaded, &[256, 1_000]),
-            (Transport::Evented, &[1_000, 4_000, 10_000]),
-        ]
+        &[256, 1_000, 4_000, 10_000]
     };
 
     let data = workloads::uniform::<2>(n, MAX_COORD, 42);
@@ -185,61 +167,48 @@ fn main() {
         "# bench_net: family = {family}, n = {n}, rounds/conn = {rounds}, shards = {shards}, \
          coalesce = {coalesce}, workers = {workers}, fd budget = {budget} (max {max_conns} conns)"
     );
-    let mut blocks: Vec<String> = Vec::new();
-    for (transport, counts) in sweeps {
-        let mut cells: Vec<String> = Vec::new();
-        let mut done: Vec<usize> = Vec::new();
-        for &want in counts.iter() {
-            let connections = want.min(max_conns);
-            if connections < want {
-                println!(
-                    "# {}: clamped {want} -> {connections} connections (fd budget {budget})",
-                    transport.name()
-                );
-            }
-            if done.contains(&connections) {
-                continue;
-            }
-            done.push(connections);
-            let cell = run_cell(
-                family,
-                *transport,
-                &data,
-                &queries,
-                &rects,
-                connections,
-                &spec_base,
-                shards,
-                coalesce,
-            );
-            println!(
-                "{:<8} conns={:<5} {:>8.0} q/s  p50={:>8.3}ms p99={:>8.3}ms  coalesce={:.1}x  checksum={:016x} ok",
-                transport.name(),
-                cell.connections,
-                cell.qps,
-                cell.p50_ms,
-                cell.p99_ms,
-                cell.coalesce,
-                cell.checksum
-            );
-            cells.push(format!(
-                "        {{\"connections\": {}, \"ops\": {}, \"elapsed_secs\": {:.4}, \
-                 \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-                 \"coalesce_factor\": {:.2}, \"checksum\": \"{:016x}\", \"checksum_ok\": true}}",
-                cell.connections,
-                cell.ops,
-                cell.elapsed,
-                cell.qps,
-                cell.p50_ms,
-                cell.p99_ms,
-                cell.coalesce,
-                cell.checksum
-            ));
+    let mut cells: Vec<String> = Vec::new();
+    let mut done: Vec<usize> = Vec::new();
+    for &want in counts {
+        let connections = want.min(max_conns);
+        if connections < want {
+            println!("# clamped {want} -> {connections} connections (fd budget {budget})");
         }
-        blocks.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"cells\": [\n{}\n      ]\n    }}",
-            transport.name(),
-            cells.join(",\n")
+        if done.contains(&connections) {
+            continue;
+        }
+        done.push(connections);
+        let cell = run_cell(
+            family,
+            &data,
+            &queries,
+            &rects,
+            connections,
+            &spec_base,
+            shards,
+            coalesce,
+        );
+        println!(
+            "conns={:<5} {:>8.0} q/s  p50={:>8.3}ms p99={:>8.3}ms  coalesce={:.1}x  checksum={:016x} ok",
+            cell.connections,
+            cell.qps,
+            cell.p50_ms,
+            cell.p99_ms,
+            cell.coalesce,
+            cell.checksum
+        );
+        cells.push(format!(
+            "    {{\"connections\": {}, \"ops\": {}, \"elapsed_secs\": {:.4}, \
+             \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
+             \"coalesce_factor\": {:.2}, \"checksum\": \"{:016x}\", \"checksum_ok\": true}}",
+            cell.connections,
+            cell.ops,
+            cell.elapsed,
+            cell.qps,
+            cell.p50_ms,
+            cell.p99_ms,
+            cell.coalesce,
+            cell.checksum
         ));
     }
 
@@ -249,9 +218,8 @@ fn main() {
          \"coalesce_max_batch\": {},\n  \"workers\": {},\n  \"fd_budget\": {},\n  \
          \"note\": \"closed-loop fan-out over real loopback TCP (psi-net wire protocol); every \
          connection has one request in flight, so conns = concurrent outstanding requests at the \
-         coalescer; checksum_ok = socket replies bit-identical to in-process replay; measured on \
-         a 1-core container — qps reflects protocol+coalescer overhead, not parallel query \
-         speedup\",\n  \"transports\": [\n{}\n  ]\n}}\n",
+         coalescer; checksum_ok = socket replies bit-identical to in-process replay\",\n  \
+         \"cells\": [\n{}\n  ]\n}}\n",
         psi_bench::host_meta_json(),
         family,
         n,
@@ -261,7 +229,7 @@ fn main() {
         coalesce,
         workers,
         budget,
-        blocks.join(",\n")
+        cells.join(",\n")
     );
     std::fs::write(&out, json).expect("failed to write benchmark output");
     println!("# wrote {out}");

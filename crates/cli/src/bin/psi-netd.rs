@@ -5,7 +5,7 @@
 //! hold the daemon up exactly as long as they hold the pipe open:
 //!
 //! ```text
-//! mkfifo ctl && psi-netd --transport evented < ctl &
+//! mkfifo ctl && psi-netd --family spac-h < ctl &
 //! ...
 //! exec 3>ctl   # keep open while benchmarking, close fd 3 to stop
 //! ```

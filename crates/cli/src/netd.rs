@@ -13,7 +13,7 @@ use psi::registry::{self, BuildOptions};
 use psi::{HilbertCurve, MortonCurve, SfcCurve};
 use psi_geometry::{Point, PointI, Rect};
 use psi_net::wire::WireCoord;
-use psi_net::{NetConfig, NetServer, Transport};
+use psi_net::{NetConfig, NetServer};
 use psi_server::{DurabilityConfig, FsyncPolicy, IndexFactory, PsiServer, ServeConfig, ServeCoord};
 use psi_workloads::{self as workloads, Distribution};
 use std::net::SocketAddr;
@@ -31,11 +31,6 @@ pub struct NetdConfig {
     pub shards: usize,
     /// Coalescing window (`ServeConfig::coalesce_max_batch`).
     pub coalesce: usize,
-    /// Socket front-end flavour.
-    pub transport: Transport,
-    /// `false` routes queries through per-request direct handles instead of
-    /// the coalescer (the `--direct` flag).
-    pub coalesced: bool,
     /// Coordinate type of the synthetic dataset.
     pub coords: CoordKind,
     /// Dimensionality (2 or 3).
@@ -67,8 +62,6 @@ impl Default for NetdConfig {
             family: "pkd",
             shards: 2,
             coalesce: 32,
-            transport: Transport::Evented,
-            coalesced: true,
             coords: CoordKind::I64,
             dims: 2,
             n: 100_000,
@@ -95,8 +88,6 @@ pub fn usage() -> &'static str {
      --family NAME       index family to serve (default pkd)\n\
      --shards N          spatial shards (default 2)\n\
      --coalesce N        coalescing window, requests per flush (default 32)\n\
-     --transport NAME    threaded | evented (default evented)\n\
-     --direct            bypass the coalescer (per-request direct handles)\n\
      --coords KIND       i64 | f64 (default i64)\n\
      --dims D            2 | 3 (default 2)\n\
      --n N               synthetic dataset size (default 100000)\n\
@@ -142,13 +133,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<NetdConfig, String> {
             }
             "--shards" => cfg.shards = parse_num(flag, value(flag, &mut it)?)?,
             "--coalesce" => cfg.coalesce = parse_num(flag, value(flag, &mut it)?)?,
-            "--transport" => {
-                let v = value(flag, &mut it)?;
-                cfg.transport = Transport::parse(v).ok_or_else(|| {
-                    format!("--transport: expected threaded or evented, got {v:?}")
-                })?;
-            }
-            "--direct" => cfg.coalesced = false,
             "--coords" => {
                 cfg.coords = match value(flag, &mut it)? {
                     "i64" => CoordKind::I64,
@@ -209,7 +193,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<NetdConfig, String> {
 }
 
 /// A live daemon: the socket front-end plus the server it fronts. Dropping
-/// (or [`RunningNetd::shutdown`]) stops the transport threads *first*, then
+/// (or [`RunningNetd::shutdown`]) stops the socket front-end *first*, then
 /// releases the [`PsiServer`] — the order the coalescer requires.
 pub struct RunningNetd {
     net: Option<NetServer>,
@@ -328,15 +312,8 @@ fn boot_typed<T: ServeCoord + WireCoord, const D: usize>(
         },
         factory,
     ));
-    let net = NetServer::spawn(
-        Arc::clone(&server),
-        cfg.addr,
-        NetConfig {
-            transport: cfg.transport,
-            coalesce: cfg.coalesced,
-        },
-    )
-    .map_err(|e| format!("bind {}: {e}", cfg.addr))?;
+    let net = NetServer::spawn(Arc::clone(&server), cfg.addr, NetConfig::default())
+        .map_err(|e| format!("bind {}: {e}", cfg.addr))?;
     let stats = match cfg.stats_addr {
         Some(addr) => Some(
             StatsEndpoint::bind(addr).map_err(|e| format!("bind stats endpoint {addr}: {e}"))?,
@@ -344,7 +321,7 @@ fn boot_typed<T: ServeCoord + WireCoord, const D: usize>(
         None => None,
     };
     let mut banner = format!(
-        "listening on {} family={} coords={} dims={} n={} dist={} shards={} transport={} coalesce={} durable={}",
+        "listening on {} family={} coords={} dims={} n={} dist={} shards={} durable={}",
         net.addr(),
         cfg.family,
         cfg.coords.name(),
@@ -352,12 +329,6 @@ fn boot_typed<T: ServeCoord + WireCoord, const D: usize>(
         cfg.n,
         cfg.distribution.name(),
         cfg.shards,
-        cfg.transport.name(),
-        if cfg.coalesced {
-            cfg.coalesce.to_string()
-        } else {
-            "off".to_string()
-        },
         if server.is_durable() {
             cfg.fsync.name()
         } else {
@@ -386,8 +357,6 @@ mod tests {
     fn flags_parse_and_validate() {
         let cfg = parse_args::<&str>(&[]).unwrap();
         assert_eq!(cfg.family, "pkd");
-        assert_eq!(cfg.transport, Transport::Evented);
-        assert!(cfg.coalesced);
 
         let cfg = parse_args(&[
             "--addr",
@@ -398,9 +367,6 @@ mod tests {
             "4",
             "--coalesce",
             "8",
-            "--transport",
-            "threaded",
-            "--direct",
             "--coords",
             "f64",
             "--dims",
@@ -419,8 +385,6 @@ mod tests {
         assert_eq!(cfg.family, "spac-h");
         assert_eq!(cfg.shards, 4);
         assert_eq!(cfg.coalesce, 8);
-        assert_eq!(cfg.transport, Transport::Threaded);
-        assert!(!cfg.coalesced);
         assert_eq!(cfg.coords, CoordKind::F64);
         assert_eq!(cfg.dims, 3);
         assert_eq!(cfg.n, 5000);
@@ -441,7 +405,8 @@ mod tests {
 
         for bad in [
             &["--family", "nope"][..],
-            &["--transport", "carrier-pigeon"],
+            // One socket front-end: there is no transport flag.
+            &["--transport", "evented"],
             &["--coords", "i32"],
             &["--dims", "4"],
             &["--shards", "0"],
@@ -463,25 +428,22 @@ mod tests {
 
     #[test]
     fn boots_and_answers_queries() {
-        let mut cfg = parse_args(&["--n", "2000", "--coalesce", "4"]).unwrap();
-        for transport in [Transport::Threaded, Transport::Evented] {
-            cfg.transport = transport;
-            let running = boot(&cfg).unwrap();
-            assert!(running.banner().starts_with("listening on 127.0.0.1:"));
-            let mut client: WireClient<i64, 2> = WireClient::connect(running.addr()).unwrap();
-            assert_eq!(client.shards(), 2);
-            let hits = client.knn(&Point::new([500_000, 500_000]), 5).unwrap();
-            assert_eq!(hits.len(), 5);
-            let total = client
-                .range_count(&Rect::from_corners(
-                    Point::new([0, 0]),
-                    Point::new([1_000_000, 1_000_000]),
-                ))
-                .unwrap();
-            assert_eq!(total, 2000);
-            drop(client);
-            running.shutdown();
-        }
+        let cfg = parse_args(&["--n", "2000", "--coalesce", "4"]).unwrap();
+        let running = boot(&cfg).unwrap();
+        assert!(running.banner().starts_with("listening on 127.0.0.1:"));
+        let mut client: WireClient<i64, 2> = WireClient::connect(running.addr()).unwrap();
+        assert_eq!(client.shards(), 2);
+        let hits = client.knn(&Point::new([500_000, 500_000]), 5).unwrap();
+        assert_eq!(hits.len(), 5);
+        let total = client
+            .range_count(&Rect::from_corners(
+                Point::new([0, 0]),
+                Point::new([1_000_000, 1_000_000]),
+            ))
+            .unwrap();
+        assert_eq!(total, 2000);
+        drop(client);
+        running.shutdown();
     }
 
     #[test]
@@ -553,8 +515,8 @@ mod tests {
     }
 
     #[test]
-    fn direct_mode_serves_f64() {
-        let cfg = parse_args(&["--n", "1000", "--coords", "f64", "--direct"]).unwrap();
+    fn serves_f64() {
+        let cfg = parse_args(&["--n", "1000", "--coords", "f64"]).unwrap();
         let running = boot(&cfg).unwrap();
         let mut client: WireClient<f64, 2> = WireClient::connect(running.addr()).unwrap();
         let hits = client.knn(&Point::new([1.0, 2.0]), 3).unwrap();

@@ -52,7 +52,7 @@
 //! write-batch = 64              # points per published update batch
 //! write-every-ms = 2            # writer pacing (0 = as fast as possible)
 //! coalesce = 32                 # max queries folded into one flush
-//! transport = inproc            # inproc | threaded | evented (TCP loopback)
+//! transport = inproc            # inproc | evented (TCP loopback)
 //! epoch-history = 8             # retained epochs for "as of epoch N" queries
 //! epoch-history-bytes = 1048576 # optional byte budget for that history
 //! data-dir = /var/psi/demo      # optional: WAL + checkpoint durability
@@ -238,7 +238,7 @@ pub struct ServeSpec {
     /// Family serving the phase; `None` uses the scenario's first instance.
     pub family: Option<&'static str>,
     /// How clients reach the server: in-process handles (the default) or a
-    /// ψ-net TCP loopback socket on one of its two transports.
+    /// ψ-net TCP loopback socket.
     pub transport: ServeTransport,
     /// Durability directory: applied batches are WAL-logged and
     /// checkpointed there, and a rerun recovers the previous run's state.
@@ -256,8 +256,6 @@ pub struct ServeSpec {
 pub enum ServeTransport {
     /// In-process coalescing handles (no sockets).
     Inproc,
-    /// TCP loopback through ψ-net's thread-per-connection server.
-    Threaded,
     /// TCP loopback through ψ-net's epoll event loop.
     Evented,
 }
@@ -266,7 +264,6 @@ impl ServeTransport {
     fn parse(s: &str) -> Option<ServeTransport> {
         match s {
             "inproc" => Some(ServeTransport::Inproc),
-            "threaded" => Some(ServeTransport::Threaded),
             "evented" => Some(ServeTransport::Evented),
             _ => None,
         }
@@ -276,7 +273,6 @@ impl ServeTransport {
     pub fn name(self) -> &'static str {
         match self {
             ServeTransport::Inproc => "inproc",
-            ServeTransport::Threaded => "threaded",
             ServeTransport::Evented => "evented",
         }
     }
@@ -538,9 +534,7 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                         sv.transport = ServeTransport::parse(value).ok_or_else(|| {
                             err(
                                 lineno,
-                                format!(
-                                    "transport expects inproc, threaded or evented, got {value:?}"
-                                ),
+                                format!("transport expects inproc | evented, got {value:?}"),
                             )
                         })?
                     }
@@ -927,6 +921,12 @@ epoch-history = 12
         assert!(parse(&format!("{MINIMAL}[serve]\nbogus = 1\n")).is_err());
         assert!(parse(&format!("{MINIMAL}[serve]\nclients = 0\n")).is_err());
         assert!(parse(&format!("{MINIMAL}[serve]\ntransport = osmotic\n")).is_err());
+        // `threaded` is not a transport; the error names the ones there are.
+        let gone = parse(&format!("{MINIMAL}[serve]\ntransport = threaded\n")).unwrap_err();
+        assert!(
+            gone.to_string().contains("inproc | evented"),
+            "unexpected error: {gone}"
+        );
         assert!(parse(&format!(
             "{MINIMAL}[indexes]\nfamilies = pkd\n[serve]\nfamily = zd\n"
         ))

@@ -16,7 +16,7 @@ use psi::{HilbertCurve, MortonCurve, SfcCurve};
 use psi_geometry::{Point, PointI, Rect};
 use psi_net::client::WireClient;
 use psi_net::wire::WireCoord;
-use psi_net::{loopback, NetConfig, NetServer, Transport};
+use psi_net::{loopback, NetConfig, NetServer};
 use psi_server::{
     closed_loop, closed_loop_with, IndexFactory, LoadSpec, PsiServer, QueryClient, ServeConfig,
     ServeCoord,
@@ -31,7 +31,7 @@ pub struct ServeReport {
     pub family: String,
     /// Shard count.
     pub shards: usize,
-    /// Client transport (`inproc`, `threaded` or `evented`).
+    /// Client transport (`inproc` or `evented`).
     pub transport: &'static str,
     /// Client threads.
     pub clients: usize,
@@ -220,25 +220,14 @@ fn serve_typed<T: ServeCoord + WireCoord, const D: usize>(
         write_batch: sv.write_batch,
         write_every_ms: sv.write_every_ms,
     };
-    // Socket transports put a real TCP loopback (and the ψ-net wire
+    // The socket transport puts a real TCP loopback (and the ψ-net wire
     // protocol) between the closed-loop clients and the coalescer; the
     // driver — and its conservation and answer-shape checks — is the same.
     let out = match sv.transport {
         ServeTransport::Inproc => closed_loop(&server, data, queries, rects, &spec),
-        ServeTransport::Threaded | ServeTransport::Evented => {
-            let transport = match sv.transport {
-                ServeTransport::Threaded => Transport::Threaded,
-                _ => Transport::Evented,
-            };
-            let net = NetServer::spawn(
-                Arc::clone(&server),
-                loopback(),
-                NetConfig {
-                    transport,
-                    coalesce: true,
-                },
-            )
-            .map_err(|e| format!("serve phase: bind loopback: {e}"))?;
+        ServeTransport::Evented => {
+            let net = NetServer::spawn(Arc::clone(&server), loopback(), NetConfig::default())
+                .map_err(|e| format!("serve phase: bind loopback: {e}"))?;
             let addr = net.addr();
             let out = closed_loop_with(&server, data, queries, rects, &spec, |_| {
                 let client: WireClient<T, D> =
@@ -332,18 +321,13 @@ coalesce = 16
     }
 
     #[test]
-    fn socket_transports_run_the_serve_phase() {
-        for transport in ["threaded", "evented"] {
-            let text = SERVE.replace(
-                "coalesce = 16",
-                &format!("coalesce = 16\ntransport = {transport}"),
-            );
-            let sc = scenario::parse(&text).unwrap();
-            let report = run_serve(&sc, None).unwrap();
-            assert_eq!(report.transport, transport);
-            assert_eq!(report.ops, 120, "{transport}");
-            assert!(report.coalesce_factor >= 1.0, "{transport}");
-        }
+    fn socket_transport_runs_the_serve_phase() {
+        let text = SERVE.replace("coalesce = 16", "coalesce = 16\ntransport = evented");
+        let sc = scenario::parse(&text).unwrap();
+        let report = run_serve(&sc, None).unwrap();
+        assert_eq!(report.transport, "evented");
+        assert_eq!(report.ops, 120);
+        assert!(report.coalesce_factor >= 1.0);
     }
 
     #[test]

@@ -50,40 +50,41 @@ fn wait_exit(mut child: Child) {
 
 #[test]
 fn netd_serves_tcp_and_stops_on_stdin_eof() {
-    for transport in ["threaded", "evented"] {
-        let (mut child, addr) = spawn_netd(&["--transport", transport]);
-        let mut client: WireClient<i64, 2> = WireClient::connect(addr).expect("connect");
-        assert_eq!(client.shards(), 2, "{transport}");
-        let hits = client
-            .knn(&Point::new([500_000, 500_000]), 7)
-            .expect("knn over tcp");
-        assert_eq!(hits.len(), 7, "{transport}");
-        let total = client
-            .range_count(&Rect::from_corners(
-                Point::new([0, 0]),
-                Point::new([1_000_000, 1_000_000]),
-            ))
-            .expect("range_count over tcp");
-        assert_eq!(total, 3000, "{transport}");
-        drop(client);
-        drop(child.stdin.take());
-        wait_exit(child);
-    }
+    let (mut child, addr) = spawn_netd(&[]);
+    let mut client: WireClient<i64, 2> = WireClient::connect(addr).expect("connect");
+    assert_eq!(client.shards(), 2);
+    let hits = client
+        .knn(&Point::new([500_000, 500_000]), 7)
+        .expect("knn over tcp");
+    assert_eq!(hits.len(), 7);
+    let total = client
+        .range_count(&Rect::from_corners(
+            Point::new([0, 0]),
+            Point::new([1_000_000, 1_000_000]),
+        ))
+        .expect("range_count over tcp");
+    assert_eq!(total, 3000);
+    drop(client);
+    drop(child.stdin.take());
+    wait_exit(child);
 }
 
+/// psi-netd has one socket front-end: a transport flag is rejected as
+/// unknown, not silently ignored.
 #[test]
 fn netd_rejects_bad_flags() {
     let out = Command::new(env!("CARGO_BIN_EXE_psi-netd"))
-        .args(["--transport", "smoke-signal"])
+        .args(["--transport", "evented"])
         .output()
         .expect("run psi-netd");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--transport"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag \"--transport\""), "{stderr}");
 }
 
 #[test]
-fn netd_writes_survive_over_f64_direct() {
-    let (mut child, addr) = spawn_netd(&["--coords", "f64", "--direct", "--shards", "3"]);
+fn netd_writes_survive_over_f64() {
+    let (mut child, addr) = spawn_netd(&["--coords", "f64", "--shards", "3"]);
     let mut client: WireClient<f64, 2> = WireClient::connect(addr).expect("connect");
     assert_eq!(client.shards(), 3);
     let hits = client.knn(&Point::new([10.0, 10.0]), 4).expect("knn");

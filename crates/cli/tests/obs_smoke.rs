@@ -1,7 +1,7 @@
 //! End-to-end observability smoke: spawn the real `psi-netd` binary with a
 //! durable data dir and a metrics endpoint, push a loadgen burst plus a
-//! write batch through the wire, then check that `OP_STATS` (over both
-//! transports) and the `--stats-addr` plaintext endpoint report consistent,
+//! write batch through the wire, then check that `OP_STATS` and the
+//! `--stats-addr` plaintext endpoint report consistent,
 //! nonzero values for the core series: per-op request latency, publish
 //! latency, coalesce flushes, WAL fsync.
 
@@ -102,97 +102,76 @@ fn scrape(addr: SocketAddr) -> String {
 #[test]
 fn stats_are_nonzero_and_consistent_across_exposures() {
     let world = Rect::from_corners(Point::new([0, 0]), Point::new([1_000_000, 1_000_000]));
-    for transport in ["threaded", "evented"] {
-        let dir =
-            std::env::temp_dir().join(format!("psi-obs-smoke-{}-{transport}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let netd = spawn_netd(&[
-            "--transport",
-            transport,
-            "--data-dir",
-            dir.to_str().unwrap(),
-        ]);
+    let dir = std::env::temp_dir().join(format!("psi-obs-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let netd = spawn_netd(&["--data-dir", dir.to_str().unwrap()]);
 
-        // Loadgen burst: 8 closed-loop connections, 40 rounds each.
-        let queries: Vec<Point<i64, 2>> = (0..16)
-            .map(|i| Point::new([i * 50_000, 1_000_000 - i * 50_000]))
-            .collect();
-        let rects = vec![
-            Rect::from_corners(Point::new([0, 0]), Point::new([200_000, 200_000])),
-            Rect::from_corners(
-                Point::new([400_000, 400_000]),
-                Point::new([600_000, 600_000]),
-            ),
-        ];
-        let spec = FanoutSpec {
-            connections: 8,
-            workers: 2,
-            rounds: 40,
-            k: 5,
-        };
-        let out = fanout(netd.addr, &queries, &rects, &spec).expect("loadgen burst");
-        assert_eq!(out.ops, 8 * 40, "{transport}");
+    // Loadgen burst: 8 closed-loop connections, 40 rounds each.
+    let queries: Vec<Point<i64, 2>> = (0..16)
+        .map(|i| Point::new([i * 50_000, 1_000_000 - i * 50_000]))
+        .collect();
+    let rects = vec![
+        Rect::from_corners(Point::new([0, 0]), Point::new([200_000, 200_000])),
+        Rect::from_corners(
+            Point::new([400_000, 400_000]),
+            Point::new([600_000, 600_000]),
+        ),
+    ];
+    let spec = FanoutSpec {
+        connections: 8,
+        workers: 2,
+        rounds: 40,
+        k: 5,
+    };
+    let out = fanout(netd.addr, &queries, &rects, &spec).expect("loadgen burst");
+    assert_eq!(out.ops, 8 * 40);
 
-        // One write batch through the WAL, polled to publication so the
-        // publish-latency and fsync series are guaranteed nonzero.
-        let mut client: WireClient<i64, 2> = WireClient::connect(netd.addr).expect("connect");
-        client
-            .apply_batch(Vec::new(), vec![Point::new([7, 7]), Point::new([9, 9])])
-            .expect("apply_batch");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while client.range_count(&world).expect("range_count") != 3002 {
-            assert!(Instant::now() < deadline, "write batch never published");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-
-        // Exposure 1: OP_STATS over the wire.
-        let (version, text) = client.stats().expect("OP_STATS");
-        assert_eq!(version, psi_obs::SNAPSHOT_VERSION, "{transport}");
-        let knn_in = series_value(&text, "psi_net_frames_in_total{op=\"knn\"}");
-        assert!(knn_in >= 2.0 * 40.0, "{transport}: knn frames {knn_in}");
-        assert!(
-            series_value(
-                &text,
-                "psi_net_request_latency_ns{op=\"knn\",quantile=\"0.99\"}"
-            ) > 0.0,
-            "{transport}"
-        );
-        assert!(
-            series_value(
-                &text,
-                "psi_serve_publish_latency_ns{shard=\"0\",quantile=\"0.99\"}"
-            ) > 0.0
-        );
-        assert!(
-            series_value(&text, "psi_serve_flushes_total") > 0.0,
-            "{transport}"
-        );
-        assert!(
-            series_value(&text, "psi_wal_fsync_latency_ns_count") > 0.0,
-            "{transport}"
-        );
-        assert!(
-            series_value(&text, "psi_wal_bytes_written_total") > 0.0,
-            "{transport}"
-        );
-        assert!(
-            series_value(&text, "psi_net_open_connections") >= 1.0,
-            "{transport}"
-        );
-
-        // Exposure 2: the plaintext endpoint. Counters are monotone, so the
-        // later scrape must agree with (or exceed) the wire snapshot.
-        let body = scrape(netd.stats_addr);
-        let scraped_knn_in = series_value(&body, "psi_net_frames_in_total{op=\"knn\"}");
-        assert!(
-            scraped_knn_in >= knn_in,
-            "{transport}: scrape {scraped_knn_in} went backwards from wire {knn_in}"
-        );
-        assert!(series_value(&body, "psi_wal_fsync_latency_ns_count") > 0.0);
-        assert!(series_value(&body, "psi_serve_flushes_total") > 0.0);
-
-        drop(client);
-        stop(netd);
-        let _ = std::fs::remove_dir_all(&dir);
+    // One write batch through the WAL, polled to publication so the
+    // publish-latency and fsync series are guaranteed nonzero.
+    let mut client: WireClient<i64, 2> = WireClient::connect(netd.addr).expect("connect");
+    client
+        .apply_batch(Vec::new(), vec![Point::new([7, 7]), Point::new([9, 9])])
+        .expect("apply_batch");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client.range_count(&world).expect("range_count") != 3002 {
+        assert!(Instant::now() < deadline, "write batch never published");
+        std::thread::sleep(Duration::from_millis(5));
     }
+
+    // Exposure 1: OP_STATS over the wire.
+    let (version, text) = client.stats().expect("OP_STATS");
+    assert_eq!(version, psi_obs::SNAPSHOT_VERSION);
+    let knn_in = series_value(&text, "psi_net_frames_in_total{op=\"knn\"}");
+    assert!(knn_in >= 2.0 * 40.0, "knn frames {knn_in}");
+    assert!(
+        series_value(
+            &text,
+            "psi_net_request_latency_ns{op=\"knn\",quantile=\"0.99\"}"
+        ) > 0.0
+    );
+    assert!(
+        series_value(
+            &text,
+            "psi_serve_publish_latency_ns{shard=\"0\",quantile=\"0.99\"}"
+        ) > 0.0
+    );
+    assert!(series_value(&text, "psi_serve_flushes_total") > 0.0);
+    assert!(series_value(&text, "psi_wal_fsync_latency_ns_count") > 0.0);
+    assert!(series_value(&text, "psi_wal_bytes_written_total") > 0.0);
+    assert!(series_value(&text, "psi_net_open_connections") >= 1.0);
+
+    // Exposure 2: the plaintext endpoint. Counters are monotone, so the
+    // later scrape must agree with (or exceed) the wire snapshot.
+    let body = scrape(netd.stats_addr);
+    let scraped_knn_in = series_value(&body, "psi_net_frames_in_total{op=\"knn\"}");
+    assert!(
+        scraped_knn_in >= knn_in,
+        "scrape {scraped_knn_in} went backwards from wire {knn_in}"
+    );
+    assert!(series_value(&body, "psi_wal_fsync_latency_ns_count") > 0.0);
+    assert!(series_value(&body, "psi_serve_flushes_total") > 0.0);
+
+    drop(client);
+    stop(netd);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,5 @@
 //! A minimal hand-rolled `epoll(7)` binding — just the four calls the
-//! evented transport needs, declared `extern "C"` against the platform libc
+//! socket reactor needs, declared `extern "C"` against the platform libc
 //! the binary already links. Keeping the shim local (instead of pulling in a
 //! bindings crate) keeps the workspace dependency-free and makes the unsafe
 //! surface small enough to audit in one screen.

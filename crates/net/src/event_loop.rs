@@ -1,5 +1,6 @@
-//! The evented transport: one reactor thread multiplexing every connection
-//! over epoll, with a per-connection read/write buffer state machine.
+//! The socket front-end: one reactor thread multiplexing every connection
+//! over epoll, with a per-connection read/write buffer state machine and
+//! one request dispatcher ([`Reactor::handle_request`]).
 //!
 //! The reactor never blocks on anything but `epoll_wait`:
 //!
@@ -15,6 +16,11 @@
 //!   `EPOLLOUT` only while bytes remain (level-triggered, so interest must
 //!   be explicit or the loop would spin).
 //!
+//! A connection stops reading when its client half-closes or sends a frame
+//! that poisons it (answered with one error frame). It then stays open,
+//! with no read interest, until every reply it owes — queued in its write
+//! buffer or still in flight at the coalescer — has been written.
+//!
 //! Connections live in a slab indexed by the epoll token. Each slot carries
 //! a **generation** that bumps on close: a coalescer callback for a
 //! connection that died mid-flight delivers into the outbox tagged with the
@@ -25,16 +31,15 @@
 //! on the floor.
 
 use crate::epoll::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::listener::{answer_blocking, describe_request, reply_epoch_gone, reply_too_large};
 use crate::obs::{net_obs, op_name};
 use crate::wire::{
     check_hello, decode_request, encode_reply, frame_size, Reply, Request, WireCoord, WireError,
-    ERR_BUSY, LEN_PREFIX,
+    ERR_BUSY, ERR_EPOCH, ERR_TOO_LARGE, LEN_PREFIX,
 };
-use crate::{Backend, Ctx, NetStats};
+use crate::{Ctx, NetStats};
 use psi_server::{Completion, QueryOp, QueryReply, ServeCoord};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -54,6 +59,7 @@ const MAX_WBUF: usize = 1 << 26;
 /// Replies encoded off-thread (by coalescer callbacks), awaiting routing
 /// into their connection's write buffer: `(slot, generation, frame bytes)`.
 type Outbox = Arc<Mutex<Vec<(usize, u64, Vec<u8>)>>>;
+const OUTBOX_POISONED: &str = "outbox mutex poisoned: a coalescer callback panicked";
 
 struct Conn {
     stream: TcpStream,
@@ -62,8 +68,12 @@ struct Conn {
     /// Flushed-up-to offset into `wbuf`.
     wpos: usize,
     hello_done: bool,
-    /// An error frame is queued; close once `wbuf` drains.
+    /// No more requests will be read (the client half-closed, or an error
+    /// frame is queued): close once `wbuf` drains and `inflight` is 0.
     closing: bool,
+    /// Queries submitted to the coalescer whose replies have not yet been
+    /// routed into `wbuf`.
+    inflight: usize,
     /// Current epoll interest mask.
     interest: u32,
 }
@@ -141,7 +151,7 @@ pub(crate) fn run_evented<T: ServeCoord + WireCoord, const D: usize>(
                         r.read_ready(idx);
                     }
                     if mask & EPOLLOUT != 0 && r.conns[idx].is_some() {
-                        r.write_ready(idx);
+                        r.flush(idx);
                     }
                 }
             }
@@ -204,6 +214,7 @@ impl<T: ServeCoord + WireCoord, const D: usize> Reactor<T, D> {
                 wpos: 0,
                 hello_done: false,
                 closing: false,
+                inflight: 0,
                 interest,
             });
             self.stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -225,20 +236,22 @@ impl<T: ServeCoord + WireCoord, const D: usize> Reactor<T, D> {
     /// Route off-thread-encoded replies into their connections' write
     /// buffers, discarding any whose connection died (generation mismatch).
     fn drain_outbox(&mut self) {
-        let ready = std::mem::take(&mut *self.outbox.lock().unwrap());
+        let ready = std::mem::take(&mut *self.outbox.lock().expect(OUTBOX_POISONED));
         let mut touched: Vec<usize> = Vec::new();
         for (idx, gen, bytes) in ready {
-            if self.gens.get(idx) == Some(&gen) {
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.wbuf.extend_from_slice(&bytes);
-                    if !touched.contains(&idx) {
-                        touched.push(idx);
-                    }
+            if self.gens.get(idx) != Some(&gen) {
+                continue;
+            }
+            if let Some(conn) = self.conns[idx].as_mut() {
+                conn.inflight -= 1;
+                conn.wbuf.extend_from_slice(&bytes);
+                if !touched.contains(&idx) {
+                    touched.push(idx);
                 }
             }
         }
         for idx in touched {
-            self.write_ready(idx);
+            self.flush(idx);
         }
     }
 
@@ -247,19 +260,7 @@ impl<T: ServeCoord + WireCoord, const D: usize> Reactor<T, D> {
         let mut eof = false;
         {
             let conn = self.conns[idx].as_mut().expect("read on live conn");
-            if conn.closing {
-                // Already poisoned: swallow input until the error frame
-                // flushes and the close lands.
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => return self.close(idx),
-                        Ok(_) => {}
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                        Err(_) => return self.close(idx),
-                    }
-                }
-            }
+            debug_assert!(!conn.closing, "a closing connection has no read interest");
             loop {
                 match conn.stream.read(&mut chunk) {
                     Ok(0) => {
@@ -328,112 +329,104 @@ impl<T: ServeCoord + WireCoord, const D: usize> Reactor<T, D> {
                 0,
                 0,
             );
-            self.poison(idx);
+            self.stop_reading(idx);
         }
         if eof {
-            // Clean or mid-frame EOF: either way nothing more will arrive.
-            // Flush what's queued, then drop. (A client that half-closed
-            // after pipelining still gets queued replies lost — closed-loop
-            // clients never half-close with requests in flight.)
-            self.close(idx);
-            return;
+            // Clean or mid-frame EOF: nothing more will arrive, but the
+            // replies already owed are still delivered before the close.
+            self.stop_reading(idx);
         }
         self.flush(idx);
     }
 
-    /// Mark the connection as dying: stop reading, close once flushed.
-    fn poison(&mut self, idx: usize) {
+    /// Read no further requests; [`Reactor::flush`] drops the read interest
+    /// and closes once every owed reply is written.
+    fn stop_reading(&mut self, idx: usize) {
         if let Some(conn) = self.conns[idx].as_mut() {
             conn.closing = true;
-            let _ = conn.stream.shutdown(Shutdown::Read);
         }
     }
 
+    /// The one request dispatcher. Queries go to the coalescer; everything
+    /// else is answered inline on the reactor thread.
     fn handle_request(&mut self, idx: usize, req_id: u64, req: Request<T, D>, t0: Instant) {
-        let hello_done = self.conns[idx].as_ref().expect("live conn").hello_done;
-        if !hello_done {
-            let opcode = req.opcode();
+        let opcode = req.opcode();
+        let conn = self.conns[idx].as_mut().expect("live conn");
+        if !conn.hello_done {
             match check_hello(&req, self.ctx.shards) {
                 Ok(ok) => {
-                    self.answer_now(idx, &ok, opcode, req_id, t0);
-                    self.conns[idx].as_mut().expect("live conn").hello_done = true;
+                    conn.hello_done = true;
+                    self.answer_now(idx, &ok, opcode, req_id, t0, None);
                 }
                 Err(err) => {
                     self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    self.answer_now(idx, &err, opcode, req_id, t0);
-                    self.poison(idx);
+                    self.answer_now(idx, &err, opcode, req_id, t0, None);
+                    self.stop_reading(idx);
                 }
             }
             return;
         }
-        let opcode = req.opcode();
-        // The direct (non-coalesced) backend answers inline on the reactor
-        // thread — each query pins a fresh view; there is nothing to wait
-        // on, so blocking semantics are trivially nonblocking here.
-        let coalesced = match &self.ctx.backend {
-            Backend::Coalesced(h) => Some(h.clone()),
-            Backend::Direct(_) => None,
-        };
-        let Some(handle) = coalesced else {
-            let reply = answer_blocking(&self.ctx, req);
-            self.answer_now(idx, &reply, opcode, req_id, t0);
-            return;
-        };
         // Slow-query log: build the shape before `req` is consumed, and only
         // while the log is enabled (one relaxed load).
         let slow_shape = (psi_obs::slowlog::threshold_ns() > 0).then(|| describe_request(&req));
-        let op = match req {
-            Request::Hello { .. } => {
-                let reply = match check_hello(&req, self.ctx.shards) {
-                    Ok(ok) | Err(ok) => ok,
-                };
-                self.answer_now(idx, &reply, opcode, req_id, t0);
-                return;
-            }
-            Request::EpochBounds => {
-                // Answered inline: one mutex-guarded peek at the history
-                // log, nothing worth a coalescer round-trip.
-                let reply: Reply<T, D> =
-                    Reply::EpochBounds(self.ctx.server.router().epoch_bounds());
-                self.answer_now(idx, &reply, opcode, req_id, t0);
-                return;
-            }
-            Request::Stats => {
-                // Inline too: collection walks the registry under its mutex,
-                // but never touches the serving path.
-                let reply: Reply<T, D> = Reply::Stats {
-                    version: psi_obs::SNAPSHOT_VERSION,
-                    text: psi_obs::render_prometheus(),
-                };
-                self.answer_now(idx, &reply, opcode, req_id, t0);
-                return;
-            }
+        let reply = match req {
+            // A repeated hello is answered idempotently (harmless, and it
+            // lets clients re-verify the shape on a pooled connection).
+            Request::Hello { .. } => match check_hello(&req, self.ctx.shards) {
+                Ok(r) | Err(r) => r,
+            },
+            // One mutex-guarded peek at the history log: nothing worth a
+            // coalescer round-trip.
+            Request::EpochBounds => Reply::EpochBounds(self.ctx.server.router().epoch_bounds()),
+            // Collection walks the registry under its mutex, but never
+            // touches the serving path.
+            Request::Stats => Reply::Stats {
+                version: psi_obs::SNAPSHOT_VERSION,
+                text: psi_obs::render_prometheus(),
+            },
             Request::ApplyBatch { delete, insert } => {
-                let reply = match self.ctx.server.try_submit(delete, insert) {
+                match self.ctx.server.try_submit(delete, insert) {
                     Ok(()) => Reply::BatchOk,
                     Err(_) => Reply::Error {
                         code: ERR_BUSY,
                         message: "update queue full, retry".to_string(),
                     },
-                };
-                self.answer_now(idx, &reply, opcode, req_id, t0);
-                return;
-            }
-            Request::Knn { q, k, at } => {
-                if k == 0 {
-                    self.answer_now(idx, &Reply::Points(Vec::new()), opcode, req_id, t0);
-                    return;
                 }
-                (QueryOp::Knn(q, k as usize), at)
             }
-            Request::RangeCount { rect, at } => (QueryOp::RangeCount(rect), at),
-            Request::RangeList { rect, at } => (QueryOp::RangeList(rect), at),
+            Request::Knn { k: 0, .. } => Reply::Points(Vec::new()),
+            Request::Knn { q, k, at } => {
+                let op = QueryOp::Knn(q, k as usize);
+                return self.submit(idx, op, at, opcode, req_id, t0, slow_shape);
+            }
+            Request::RangeCount { rect, at } => {
+                let op = QueryOp::RangeCount(rect);
+                return self.submit(idx, op, at, opcode, req_id, t0, slow_shape);
+            }
+            Request::RangeList { rect, at } => {
+                let op = QueryOp::RangeList(rect);
+                return self.submit(idx, op, at, opcode, req_id, t0, slow_shape);
+            }
         };
-        let (op, at) = op;
+        self.answer_now(idx, &reply, opcode, req_id, t0, slow_shape);
+    }
+
+    /// Enqueue a query to the coalescer; its callback encodes the reply on
+    /// the flusher thread and hands the frame to the reactor's outbox.
+    #[allow(clippy::too_many_arguments)]
+    fn submit(
+        &mut self,
+        idx: usize,
+        op: QueryOp<T, D>,
+        at: Option<u64>,
+        opcode: u8,
+        req_id: u64,
+        t0: Instant,
+        slow_shape: Option<String>,
+    ) {
         let outbox = Arc::clone(&self.outbox);
         let wake = Arc::clone(&self.wake_tx);
         let gen = self.gens[idx];
-        handle.submit_at(
+        self.ctx.coalescer.submit_at(
             op,
             at,
             Completion::Callback(Box::new(move |answer| {
@@ -443,26 +436,19 @@ impl<T: ServeCoord + WireCoord, const D: usize> Reactor<T, D> {
                     QueryReply::EpochGone => reply_epoch_gone(),
                 };
                 let mut bytes = Vec::new();
-                if encode_reply(&reply, opcode, req_id, &mut bytes).is_err() {
-                    let substitute = reply_too_large::<T, D>();
-                    encode_reply(&substitute, opcode, req_id, &mut bytes)
-                        .expect("error frames fit one frame");
-                    net_obs().count_reply(opcode, &substitute);
-                } else {
-                    net_obs().count_reply(opcode, &reply);
-                }
+                encode_or_too_large(&reply, opcode, req_id, &mut bytes);
                 // Latency ends at reply hand-off: the flusher finished the
                 // query and the encoded frame is on its way to the reactor.
-                let dt = t0.elapsed();
-                net_obs().request_latency(opcode).record_duration(dt);
-                if let Some(shape) = slow_shape {
-                    psi_obs::slowlog::observe(op_name(opcode), dt.as_nanos() as u64, || shape);
-                }
-                outbox.lock().unwrap().push((idx, gen, bytes));
+                record_latency(opcode, t0, slow_shape);
+                outbox
+                    .lock()
+                    .expect(OUTBOX_POISONED)
+                    .push((idx, gen, bytes));
                 // A full wakeup pipe means a kick is already pending.
                 let _ = (&*wake).write(&[1]);
             })),
         );
+        self.conns[idx].as_mut().expect("live conn").inflight += 1;
     }
 
     /// Queue an inline reply and record its decode-to-hand-off latency.
@@ -473,35 +459,20 @@ impl<T: ServeCoord + WireCoord, const D: usize> Reactor<T, D> {
         opcode: u8,
         req_id: u64,
         t0: Instant,
+        slow_shape: Option<String>,
     ) {
         self.queue_reply(idx, reply, opcode, req_id);
-        net_obs()
-            .request_latency(opcode)
-            .record_duration(t0.elapsed());
+        record_latency(opcode, t0, slow_shape);
     }
 
     fn queue_reply(&mut self, idx: usize, reply: &Reply<T, D>, opcode: u8, req_id: u64) {
         let conn = self.conns[idx].as_mut().expect("live conn");
-        let at = conn.wbuf.len();
-        if encode_reply(reply, opcode, req_id, &mut conn.wbuf).is_err() {
-            // Rolled back to `at`: substitute a typed too-large error so the
-            // client still gets an answer for this req_id.
-            debug_assert_eq!(conn.wbuf.len(), at);
-            let substitute = reply_too_large::<T, D>();
-            encode_reply(&substitute, opcode, req_id, &mut conn.wbuf)
-                .expect("error frames fit one frame");
-            net_obs().count_reply(opcode, &substitute);
-        } else {
-            net_obs().count_reply(opcode, reply);
-        }
+        encode_or_too_large(reply, opcode, req_id, &mut conn.wbuf);
     }
 
-    fn write_ready(&mut self, idx: usize) {
-        self.flush(idx);
-    }
-
-    /// Push buffered bytes out; adjust `EPOLLOUT` interest to match what
-    /// remains; complete a pending close once drained.
+    /// Push buffered bytes out; set the epoll interest to match what
+    /// remains; close a connection that stopped reading once it owes no
+    /// more replies.
     fn flush(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].as_mut() else {
             return;
@@ -518,10 +489,6 @@ impl<T: ServeCoord + WireCoord, const D: usize> Reactor<T, D> {
         if conn.wpos == conn.wbuf.len() {
             conn.wbuf.clear();
             conn.wpos = 0;
-            if conn.closing {
-                return self.close(idx);
-            }
-            self.set_interest(idx, EPOLLIN | EPOLLRDHUP);
         } else {
             if conn.wbuf.len() - conn.wpos > MAX_WBUF {
                 return self.close(idx); // client stopped reading
@@ -531,13 +498,19 @@ impl<T: ServeCoord + WireCoord, const D: usize> Reactor<T, D> {
                 conn.wbuf.drain(..conn.wpos);
                 conn.wpos = 0;
             }
-            let base = if conn.closing {
-                0
-            } else {
-                EPOLLIN | EPOLLRDHUP
-            };
-            self.set_interest(idx, base | EPOLLOUT);
         }
+        if conn.closing && conn.wbuf.is_empty() && conn.inflight == 0 {
+            return self.close(idx);
+        }
+        // A connection that stopped reading drops its read interest:
+        // level-triggered EOF readiness would otherwise spin the loop.
+        let read = if conn.closing {
+            0
+        } else {
+            EPOLLIN | EPOLLRDHUP
+        };
+        let write = if conn.wbuf.is_empty() { 0 } else { EPOLLOUT };
+        self.set_interest(idx, read | write);
     }
 
     fn set_interest(&mut self, idx: usize, mask: u32) {
@@ -554,5 +527,72 @@ impl<T: ServeCoord + WireCoord, const D: usize> Reactor<T, D> {
                 self.close(idx);
             }
         }
+    }
+}
+
+/// Append `reply`'s frame to `out`. A reply that outgrows the frame cap
+/// (e.g. a huge range-list) is replaced by a typed too-large error, so the
+/// client still gets an answer for this `req_id` and the connection stays
+/// open.
+fn encode_or_too_large<T: WireCoord, const D: usize>(
+    reply: &Reply<T, D>,
+    opcode: u8,
+    req_id: u64,
+    out: &mut Vec<u8>,
+) {
+    // A failed encode rolls `out` back, so the substitute starts clean.
+    if encode_reply(reply, opcode, req_id, out).is_ok() {
+        net_obs().count_reply(opcode, reply);
+    } else {
+        let substitute = reply_too_large::<T, D>();
+        encode_reply(&substitute, opcode, req_id, out).expect("error frames fit one frame");
+        net_obs().count_reply(opcode, &substitute);
+    }
+}
+
+/// Record a request's decode-to-hand-off latency, and its shape in the
+/// slow-query log when the log is enabled and the threshold was crossed.
+fn record_latency(opcode: u8, t0: Instant, slow_shape: Option<String>) {
+    let dt = t0.elapsed();
+    net_obs().request_latency(opcode).record_duration(dt);
+    if let Some(shape) = slow_shape {
+        psi_obs::slowlog::observe(op_name(opcode), dt.as_nanos() as u64, || shape);
+    }
+}
+
+/// The slow-query-log shape of a request: enough detail to reproduce the
+/// query's cost class (k, epoch pin, batch sizes) without logging payloads.
+fn describe_request<T: WireCoord, const D: usize>(req: &Request<T, D>) -> String {
+    match req {
+        Request::Hello { .. } => "hello".to_string(),
+        Request::Knn { k, at, .. } => match at {
+            Some(e) => format!("k={k} at={e}"),
+            None => format!("k={k}"),
+        },
+        Request::RangeCount { at, .. } | Request::RangeList { at, .. } => match at {
+            Some(e) => format!("rect at={e}"),
+            None => "rect".to_string(),
+        },
+        Request::EpochBounds => "epoch_bounds".to_string(),
+        Request::Stats => "stats".to_string(),
+        Request::ApplyBatch { delete, insert } => {
+            format!("del={} ins={}", delete.len(), insert.len())
+        }
+    }
+}
+
+/// The error reply sent when an answer outgrows the frame cap.
+fn reply_too_large<T: WireCoord, const D: usize>() -> Reply<T, D> {
+    Reply::Error {
+        code: ERR_TOO_LARGE,
+        message: "reply exceeds the frame cap; narrow the query".to_string(),
+    }
+}
+
+/// The error reply sent when a pinned epoch fell off the history window.
+fn reply_epoch_gone<T: WireCoord, const D: usize>() -> Reply<T, D> {
+    Reply::Error {
+        code: ERR_EPOCH,
+        message: "epoch outside the retained history window".to_string(),
     }
 }

@@ -6,11 +6,9 @@
 //!
 //! * [`wire`] — the length-prefixed little-endian binary protocol (one
 //!   module, shared verbatim by both sides of the connection),
-//! * two server **transports** behind one [`NetServer`] front:
-//!   [`Transport::Threaded`] (blocking thread-per-connection, simple and
-//!   fine up to a few hundred connections) and [`Transport::Evented`]
-//!   (a nonblocking epoll reactor — see [`epoll`] — that multiplexes
-//!   thousands of connections onto one thread),
+//! * [`NetServer`] — one nonblocking epoll reactor thread (see [`epoll`])
+//!   that multiplexes thousands of connections and dispatches every
+//!   request in one place,
 //! * [`client::WireClient`] — a blocking protocol client that also
 //!   implements [`psi_server::QueryClient`], so `psi_server`'s closed-loop
 //!   load generator can drive real sockets with the same conservation and
@@ -20,23 +18,21 @@
 //!   with order-independent FNV answer checksums and an in-process replay
 //!   to verify socket answers bit-for-bit.
 //!
-//! Query frames feed the server's [coalescer](psi_server::CoalesceHandle):
-//! the evented transport enqueues with a callback completion so reactor
-//! threads never block on the flusher, which is what lets one reactor
-//! thread keep thousands of connections in flight while the flusher turns
-//! them into large epoch-consistent batches. A `coalesce = false` hook
-//! routes queries through [`psi_server::DirectHandle`] instead (a fresh
-//! router-view pin per query) to measure what coalescing buys.
+//! Query frames feed the server's [coalescer](psi_server::CoalesceHandle)
+//! with a callback completion, so the reactor never blocks on the flusher:
+//! that is what lets one reactor thread keep thousands of connections in
+//! flight while the flusher turns them into large epoch-consistent batches.
+//! Hello, epoch-bounds, stats and update frames (and `k = 0` kNN) are
+//! answered inline on the reactor.
 
 pub mod client;
 pub mod epoll;
 mod event_loop;
-mod listener;
 pub mod loadgen;
 mod obs;
 pub mod wire;
 
-use psi_server::{PsiServer, ServeCoord};
+use psi_server::{CoalesceHandle, PsiServer, ServeCoord};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
@@ -45,92 +41,22 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use wire::WireCoord;
 
-/// How the server multiplexes connections.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Transport {
-    /// One blocking OS thread per connection (small stacks). Simple, and
-    /// competitive while connection counts stay in the hundreds.
-    Threaded,
-    /// One reactor thread multiplexing every connection over epoll with
-    /// per-connection read/write buffer state machines. The connection-scale
-    /// transport: thousands of mostly-idle connections cost buffers, not
-    /// stacks.
-    Evented,
-}
+/// Configuration for [`NetServer::spawn`]. It has no fields: the server has
+/// one transport and one query path. The parameter keeps `spawn`'s
+/// signature stable for its callers, among them the repository benchmark
+/// (`psibench`), which passes `NetConfig::default()`.
+#[derive(Clone, Debug, Default)]
+pub struct NetConfig {}
 
-impl Transport {
-    /// Parse the scenario/CLI spelling.
-    pub fn parse(s: &str) -> Option<Transport> {
-        match s {
-            "threaded" => Some(Transport::Threaded),
-            "evented" => Some(Transport::Evented),
-            _ => None,
-        }
-    }
-
-    /// The scenario/CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Transport::Threaded => "threaded",
-            Transport::Evented => "evented",
-        }
-    }
-}
-
-/// Configuration for [`NetServer::spawn`].
-#[derive(Clone, Debug)]
-pub struct NetConfig {
-    /// Connection multiplexing strategy.
-    pub transport: Transport,
-    /// Route queries through the coalescer (default) or the direct
-    /// per-query fast path (`false`).
-    pub coalesce: bool,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            transport: Transport::Evented,
-            coalesce: true,
-        }
-    }
-}
-
-/// How a transport answers query frames: through the coalescer (batched,
-/// epoch-consistent per flush) or the direct per-query pin.
-pub(crate) enum Backend<T: ServeCoord, const D: usize> {
-    Coalesced(psi_server::CoalesceHandle<T, D>),
-    Direct(psi_server::DirectHandle<T, D>),
-}
-
-impl<T: ServeCoord, const D: usize> Clone for Backend<T, D> {
-    fn clone(&self) -> Self {
-        match self {
-            Backend::Coalesced(h) => Backend::Coalesced(h.clone()),
-            Backend::Direct(h) => Backend::Direct(h.clone()),
-        }
-    }
-}
-
-/// Everything a connection handler needs, cheap to clone into threads.
+/// Everything the reactor needs to answer requests.
 pub(crate) struct Ctx<T: ServeCoord + WireCoord, const D: usize> {
     pub server: Arc<PsiServer<T, D>>,
-    pub backend: Backend<T, D>,
+    pub coalescer: CoalesceHandle<T, D>,
     pub shards: u32,
 }
 
-impl<T: ServeCoord + WireCoord, const D: usize> Clone for Ctx<T, D> {
-    fn clone(&self) -> Self {
-        Ctx {
-            server: Arc::clone(&self.server),
-            backend: self.backend.clone(),
-            shards: self.shards,
-        }
-    }
-}
-
-/// Counters shared between the transport threads and the [`NetServer`]
-/// handle that outlives them.
+/// Counters shared between the reactor thread and the [`NetServer`]
+/// handle that outlives it.
 #[derive(Default)]
 pub(crate) struct NetStats {
     pub open: AtomicUsize,
@@ -142,17 +68,17 @@ pub(crate) struct NetStats {
 
 /// A running socket front-end. Dropping the handle (or calling
 /// [`NetServer::shutdown`]) stops accepting, disconnects every client and
-/// joins the transport threads.
+/// joins the reactor thread.
 ///
 /// Shut the `NetServer` down **before** the [`PsiServer`] it fronts — the
-/// transports hold coalescing handles, and a query arriving after the
-/// server's flusher stopped would panic the connection's handler.
+/// reactor holds a coalescing handle, and a query arriving after the
+/// server's flusher stopped would panic it.
 pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// Evented transport's wakeup writer (kicks the reactor out of
-    /// `epoll_wait` so it notices `stop`).
-    wake: Option<UnixStream>,
+    /// The reactor's wakeup writer (kicks it out of `epoll_wait` so it
+    /// notices `stop`).
+    wake: UnixStream,
     join: Option<JoinHandle<()>>,
     stats: Arc<NetStats>,
 }
@@ -165,45 +91,28 @@ impl NetServer {
     pub fn spawn<T: ServeCoord + WireCoord, const D: usize>(
         server: Arc<PsiServer<T, D>>,
         addr: SocketAddr,
-        cfg: NetConfig,
+        _cfg: NetConfig,
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let backend = if cfg.coalesce {
-            Backend::Coalesced(server.client())
-        } else {
-            Backend::Direct(server.direct_client())
-        };
-        let shards = server.router().shard_count() as u32;
         let ctx = Ctx {
+            coalescer: server.client(),
+            shards: server.router().shard_count() as u32,
             server,
-            backend,
-            shards,
         };
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(NetStats::default());
-        let (wake, join) = match cfg.transport {
-            Transport::Threaded => {
-                let stop = Arc::clone(&stop);
-                let stats = Arc::clone(&stats);
-                let join = std::thread::Builder::new()
-                    .name("psi-net-accept".to_string())
-                    .spawn(move || listener::run_threaded(listener, ctx, stop, stats))?;
-                (None, join)
-            }
-            Transport::Evented => {
-                let (wake_tx, wake_rx) = UnixStream::pair()?;
-                wake_tx.set_nonblocking(true)?;
-                let stop = Arc::clone(&stop);
-                let stats = Arc::clone(&stats);
-                let wake_for_loop = wake_tx.try_clone()?;
-                let join = std::thread::Builder::new()
-                    .name("psi-net-reactor".to_string())
-                    .spawn(move || {
-                        event_loop::run_evented(listener, ctx, stop, stats, wake_rx, wake_for_loop)
-                    })?;
-                (Some(wake_tx), join)
-            }
+        let (wake, wake_rx) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        let join = {
+            let stop = Arc::clone(&stop);
+            let stats = Arc::clone(&stats);
+            let wake_tx = wake.try_clone()?;
+            std::thread::Builder::new()
+                .name("psi-net-reactor".to_string())
+                .spawn(move || {
+                    event_loop::run_evented(listener, ctx, stop, stats, wake_rx, wake_tx)
+                })?
         };
         Ok(NetServer {
             addr: local,
@@ -234,20 +143,17 @@ impl NetServer {
         self.stats.protocol_errors.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, disconnect all clients, join the transport threads.
+    /// Stop accepting, disconnect all clients, join the reactor thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(wake) = &self.wake {
-            use std::io::Write;
-            // The reactor drains the wakeup socket every iteration; if the
-            // pipe is full a wakeup is already pending, so WouldBlock is
-            // success here.
-            let _ = (&*wake).write(&[1]);
-        }
+        use std::io::Write;
+        // The reactor drains the wakeup socket every iteration; if the pipe
+        // is full a wakeup is already pending, so WouldBlock is success here.
+        let _ = (&self.wake).write(&[1]);
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
@@ -268,11 +174,10 @@ pub fn loopback() -> SocketAddr {
     "127.0.0.1:0".parse().expect("loopback literal parses")
 }
 
-/// Best-effort probe of the process fd headroom, used by benchmarks to clamp
-/// connection sweeps: counts how many more sockets this process could open
-/// right now by reading `RLIMIT_NOFILE` via the only portable std signal we
-/// have — trying is authoritative, so this opens (and immediately closes) no
-/// sockets and just reports the soft limit minus a safety margin.
+/// The process's soft `RLIMIT_NOFILE` minus a safety margin of 64, used by
+/// benchmarks to clamp connection sweeps. It does not subtract the
+/// descriptors already open, so it is an upper bound on what more the
+/// process could open, not a count of it.
 pub fn fd_budget() -> usize {
     // /proc is the dependency-free way to read the soft limit on Linux.
     let soft = std::fs::read_to_string("/proc/self/limits")
@@ -292,14 +197,6 @@ pub fn fd_budget() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transport_names_round_trip() {
-        for t in [Transport::Threaded, Transport::Evented] {
-            assert_eq!(Transport::parse(t.name()), Some(t));
-        }
-        assert_eq!(Transport::parse("osmotic"), None);
-    }
 
     #[test]
     fn fd_budget_is_sane() {

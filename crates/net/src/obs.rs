@@ -64,7 +64,7 @@ fn code_slot(code: u16) -> usize {
 
 /// The socket front-end's pre-resolved metric handles.
 pub(crate) struct NetObs {
-    /// Connections currently open, both transports combined.
+    /// Connections currently open.
     pub open: Arc<Gauge>,
     frames_in: Vec<Arc<Counter>>,
     frames_out: Vec<Arc<Counter>>,
@@ -87,7 +87,7 @@ impl NetObs {
         NetObs {
             open: psi_obs::gauge(
                 "psi_net_open_connections",
-                "client connections currently open across both transports",
+                "client connections currently open",
                 &[],
             ),
             frames_in: per_op(

@@ -533,7 +533,7 @@ pub fn decode_reply<T: WireCoord, const D: usize>(
     Ok((req_id, reply))
 }
 
-/// Blocking frame reader for thread-per-connection transports: read exactly
+/// Blocking frame reader (the client side's, and tests'): read exactly
 /// one frame payload (opcode + req_id + body, prefix stripped) into `buf`.
 /// Returns `Ok(false)` on a clean EOF at a frame boundary; mid-frame EOF
 /// surfaces as `UnexpectedEof` and an out-of-bounds length prefix as

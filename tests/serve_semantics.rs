@@ -443,13 +443,13 @@ fn persistent_time_travel_matches_per_epoch_goldens() {
 }
 
 /// The same epoch answers through ψ-net: a wire client's `*_at` calls must
-/// return byte-for-byte what an in-process view of that epoch returns, on
-/// both socket transports; an evicted epoch is a typed per-request failure
-/// that leaves the connection usable.
+/// return byte-for-byte what an in-process view of that epoch returns; an
+/// evicted epoch is a typed per-request failure that leaves the connection
+/// usable.
 #[test]
 fn time_travel_over_the_socket_matches_in_process() {
     use psi_net::client::WireClient;
-    use psi_net::{loopback, NetConfig, NetServer, Transport};
+    use psi_net::{loopback, NetConfig, NetServer};
     use psi_server::{PsiServer, ServeConfig};
 
     let max = 1_000_000i64;
@@ -476,48 +476,39 @@ fn time_travel_over_the_socket_matches_in_process() {
     let queries = workloads::ind_queries(&data, 8, 92);
     let rects = workloads::range_queries(&data, max, 40, 5, 93);
     let k = 6;
-    for transport in [Transport::Threaded, Transport::Evented] {
-        let net = NetServer::spawn(
-            Arc::clone(&server),
-            loopback(),
-            NetConfig {
-                transport,
-                coalesce: true,
-            },
-        )
+    let net = NetServer::spawn(Arc::clone(&server), loopback(), NetConfig::default())
         .expect("bind loopback");
-        let mut client: WireClient<i64, 2> = WireClient::connect(net.addr()).expect("connect");
-        for e in 3..=6u64 {
-            let view = server.view_at(e).expect("epoch inside the window");
-            let want_knn = view.knn_batch(&queries, k);
-            for (q, want) in queries.iter().zip(&want_knn) {
-                let got = client
-                    .knn_at(q, k, e)
-                    .expect("I/O")
-                    .expect("epoch inside the window");
-                assert_eq!(&got, want, "socket knn@{e} differs from in-process");
-            }
-            for rect in &rects {
-                assert_eq!(
-                    client.range_count_at(rect, e).expect("I/O"),
-                    Some(view.range_count(rect)),
-                    "socket range_count@{e}"
-                );
-                let mut got = client
-                    .range_list_at(rect, e)
-                    .expect("I/O")
-                    .expect("epoch inside the window");
-                let mut want = view.range_list(rect);
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "socket range_list@{e}");
-            }
+    let mut client: WireClient<i64, 2> = WireClient::connect(net.addr()).expect("connect");
+    for e in 3..=6u64 {
+        let view = server.view_at(e).expect("epoch inside the window");
+        let want_knn = view.knn_batch(&queries, k);
+        for (q, want) in queries.iter().zip(&want_knn) {
+            let got = client
+                .knn_at(q, k, e)
+                .expect("I/O")
+                .expect("epoch inside the window");
+            assert_eq!(&got, want, "socket knn@{e} differs from in-process");
         }
-        // Evicted / future epochs: ERR_EPOCH is per-request, not fatal.
-        assert_eq!(client.knn_at(&queries[0], 3, 0).expect("I/O"), None);
-        assert_eq!(client.range_count_at(&rects[0], 99).expect("I/O"), None);
-        let alive = client.knn(&queries[0], 3).expect("connection stays open");
-        assert_eq!(alive.len(), 3);
-        net.shutdown();
+        for rect in &rects {
+            assert_eq!(
+                client.range_count_at(rect, e).expect("I/O"),
+                Some(view.range_count(rect)),
+                "socket range_count@{e}"
+            );
+            let mut got = client
+                .range_list_at(rect, e)
+                .expect("I/O")
+                .expect("epoch inside the window");
+            let mut want = view.range_list(rect);
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "socket range_list@{e}");
+        }
     }
+    // Evicted / future epochs: ERR_EPOCH is per-request, not fatal.
+    assert_eq!(client.knn_at(&queries[0], 3, 0).expect("I/O"), None);
+    assert_eq!(client.range_count_at(&rects[0], 99).expect("I/O"), None);
+    let alive = client.knn(&queries[0], 3).expect("connection stays open");
+    assert_eq!(alive.len(), 3);
+    net.shutdown();
 }
