@@ -114,22 +114,36 @@ pub fn recent_events(limit: usize) -> Vec<Event> {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that emit into the process-global ring, so
+    /// `ring_is_bounded` cannot evict another test's events mid-check.
+    static RING_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn events_ring_and_render() {
-        crate::event!(Info, "test", "hello {}", 42);
-        crate::event!(Info, "test", [("shard", 3), ("epoch", "9")], "publish done");
-        let recent = recent_events(2);
+        let _serial = RING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        crate::event!(Info, "events-ring-test", "hello {}", 42);
+        crate::event!(
+            Info,
+            "events-ring-test",
+            [("shard", 3), ("epoch", "9")],
+            "publish done"
+        );
+        let recent: Vec<Event> = recent_events(usize::MAX)
+            .into_iter()
+            .filter(|e| e.target == "events-ring-test")
+            .collect();
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].message, "hello 42");
         assert!(recent[1].seq > recent[0].seq);
         assert_eq!(
             recent[1].render(),
-            format!("[INFO] test: publish done shard=3 epoch=9")
+            format!("[INFO] events-ring-test: publish done shard=3 epoch=9")
         );
     }
 
     #[test]
     fn ring_is_bounded() {
+        let _serial = RING_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         for i in 0..(RING_CAP + 10) {
             emit(Severity::Debug, "bound", format!("e{i}"), Vec::new());
         }

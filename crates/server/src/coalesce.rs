@@ -16,7 +16,7 @@
 //!   through one batched call, and distributes the replies.
 //!
 //! Every request in one flush is answered against the *same* pinned view,
-//! so a flush is per-shard epoch-consistent. Under load the queue fills
+//! so a flush is epoch-consistent. Under load the queue fills
 //! while a flush runs and the next flush drains a large batch — the
 //! coalescing window grows with load and shrinks to a single request when
 //! idle (no artificial latency is added: the flusher sleeps only when the

@@ -6,19 +6,22 @@
 //! system — many reader threads querying *while* batch writers publish —
 //! without ever exposing a torn batch:
 //!
-//! * [`shard`] — **epoch-published snapshots**: batches apply on the writer
-//!   side and an atomic pointer swap publishes a new epoch. Readers pin a
-//!   snapshot and query it lock-free; they observe whole epochs only, never
-//!   an index mid-batch. Families with a persistent (path-copying) backbone
-//!   — the CPAM/SPaC PaC-trees — keep **one** live tree and publish `O(1)`
-//!   structural-sharing snapshots (no standby copy, writer never waits on
-//!   readers); everything else falls back to the classic left-right double
-//!   buffer with a parked (not spinning) standby-reclaim wait.
-//! * [`router`] — a **spatial shard router**: the domain is striped along
-//!   dimension 0 across shards; updates split per stripe, range queries
-//!   fan out to intersecting stripes and merge by sum/concatenation, and
-//!   kNN does a pruned best-`k` merge across stripes (batched: home-shard
-//!   phase + spill phase, one batch dispatch per shard per phase).
+//! * [`router`] — a **spatial shard router** and the **one publication
+//!   point**: the domain is striped along dimension 0 across shards;
+//!   updates split per stripe, range queries fan out to intersecting
+//!   stripes and merge by sum/concatenation, and kNN does a pruned best-`k`
+//!   merge across stripes (batched: home-shard phase + spill phase, one
+//!   batch dispatch per shard per phase). Each batch is published as one
+//!   immutable view — a snapshot per shard under one global epoch — swapped
+//!   in with a single pointer store; readers pin a view and query it
+//!   lock-free, and observe whole batches only, across every shard a batch
+//!   spans.
+//! * [`shard`] — the **writer side** of a shard: families with a persistent
+//!   (path-copying) backbone — the CPAM/SPaC PaC-trees — keep **one** live
+//!   tree and produce `O(1)` structural-sharing snapshots (no standby copy,
+//!   writer never waits on readers); everything else falls back to the
+//!   classic left-right double buffer with a parked (not spinning)
+//!   standby-reclaim wait.
 //! * [`coalesce`] — a **request coalescer**: individual queries from many
 //!   client threads are buffered and flushed through the existing
 //!   `knn_batch` / `range_count_batch` / `range_list_batch` paths, so the
@@ -33,10 +36,10 @@
 //! closed-loop driver (clients × move-batch writer with a count-conservation
 //! check) behind `bench_serve` and the scenario harness's `[serve]` phase.
 //!
-//! Persistent routers additionally retain a bounded window of recent global
-//! epochs ([`ServeConfig::epoch_history`]): [`PsiServer::view_at`] and the
-//! `*_at` client calls answer **"as of epoch N"** time-travel queries from
-//! it, bit-identical to what a reader pinned at that epoch would have seen.
+//! Persistent routers additionally retain a bounded log of recent views
+//! ([`ServeConfig::epoch_history`]): [`PsiServer::view_at`] and the `*_at`
+//! client calls answer **"as of epoch N"** time-travel queries from it,
+//! bit-identical to what a reader pinned at that epoch saw.
 //!
 //! ```
 //! use psi::registry::{self, BuildOptions};
@@ -75,7 +78,7 @@ pub use coalesce::{CoalesceHandle, Coalescer, Completion, QueryOp, QueryReply};
 pub use durability::DurabilityConfig;
 pub use loadgen::{closed_loop, closed_loop_with, LoadOutcome, LoadSpec, QueryClient};
 pub use router::{Router, RouterView, ServeCoord, DEFAULT_EPOCH_HISTORY};
-pub use shard::{IndexFactory, Shard, Snapshot, SnapshotRef};
+pub use shard::{IndexFactory, Snapshot};
 pub use wal::FsyncPolicy;
 
 use durability::{checkpoint_path, wal_path};
@@ -240,7 +243,6 @@ impl<T: ServeCoord + WireCoord, const D: usize> PsiServer<T, D> {
         factory: IndexFactory<T, D>,
     ) -> Self {
         psi_parutils::stats::register_metrics();
-        let shards = cfg.shards.max(1);
         // Recover durable state first: it may replace the initial points
         // and seed the epoch counter.
         let mut pending: Option<(DurabilityConfig, u64)> = None; // (config, next generation)
@@ -262,32 +264,16 @@ impl<T: ServeCoord + WireCoord, const D: usize> PsiServer<T, D> {
                 ),
             }
         }
-        let (router, tail) = match &recovered {
+        let (points, universe, base_epoch, tail) = match &recovered {
             Some(rec) => (
-                Router::with_history_at(
-                    &factory,
-                    &rec.points,
-                    &rec.universe,
-                    shards,
-                    cfg.epoch_history,
-                    cfg.epoch_history_bytes,
-                    rec.base_epoch,
-                ),
-                rec.tail.as_slice(),
+                &rec.points[..],
+                &rec.universe,
+                rec.base_epoch,
+                &rec.tail[..],
             ),
-            None => (
-                Router::with_history_at(
-                    &factory,
-                    points,
-                    universe,
-                    shards,
-                    cfg.epoch_history,
-                    cfg.epoch_history_bytes,
-                    0,
-                ),
-                &[][..],
-            ),
+            None => (points, universe, 0, &[][..]),
         };
+        let router = Router::new(&factory, points, universe, &cfg, base_epoch);
         // Replay the WAL tail before anything is served: each publish bumps
         // the global epoch, landing exactly on the last durable epoch.
         for rec in tail {
@@ -300,12 +286,11 @@ impl<T: ServeCoord + WireCoord, const D: usize> PsiServer<T, D> {
         // construction — whatever half-written files recovery skipped are
         // superseded and then retired.
         let dur: Option<DurabilityState<T, D>> = pending.and_then(|(dcfg, gen)| {
-            let universe = recovered.as_ref().map_or(*universe, |rec| rec.universe);
             let mut state = DurabilityState {
                 dir: dcfg.dir,
                 fsync: dcfg.fsync,
                 gen: gen - 1,
-                universe,
+                universe: *universe,
                 wal: None,
             };
             match checkpoint_now(&router, &mut state) {

@@ -1,5 +1,6 @@
 //! Spatial shard router: partition the keyspace into stripes, fan queries
-//! out to the shards that can contribute, and merge the answers.
+//! out to the shards that can contribute, merge the answers, and publish
+//! every batch as one atomic view.
 //!
 //! The domain is cut into `S` equal stripes along dimension 0 (the classic
 //! range-sharding layout; stripe boundaries are fixed at construction).
@@ -17,26 +18,35 @@
 //!   stripe into the neighbouring shards (one more batch per shard) — so
 //!   the common case costs one batch dispatch per shard, not per query.
 //!
-//! Reads run against a [`RouterView`]: the set of shard snapshots pinned at
-//! one instant. Each shard publishes its own epochs, so a view is *per-shard
-//! consistent* (no shard is ever observed mid-batch); a batch that spans
-//! shards becomes visible shard by shard. Updates routed through
-//! [`Router::publish`] are split by stripe and published per shard.
+//! **Publication.** The router is the only publication point. It holds one
+//! immutable view per **global epoch** — one [`Snapshot`] per shard — and
+//! [`Router::publish`] splits a batch by stripe, applies each sub-batch to
+//! its shard, builds the next view (reusing the snapshots of the shards the
+//! batch did not touch) and swaps it in with a single pointer store. A
+//! [`RouterView`] is a handle on one such view: [`Router::pin`] is one read
+//! lock and one `Arc` clone, and a reader sees either the whole batch or
+//! none of it, across every shard it spans.
 //!
-//! On top of the per-shard epochs the router keeps one **global epoch**
-//! counter — the number of batches published through it — and, when every
-//! shard is [persistent](Shard::is_persistent), a bounded **epoch history**:
-//! the pinned view of each recent global epoch. [`Router::pin_at`] serves
-//! "as of epoch N" time-travel queries from that log. The log is gated on
-//! persistence because retained views are nearly free there (structural
-//! sharing); under the left-right fallback they would pin old copies and
-//! stall the writer, so non-persistent routers keep no history and answer
-//! `pin_at` with `None`.
+//! Blocking discipline: readers never block on a publish — the write lock
+//! covers only the pointer swap and the history append, never batch
+//! application, and views it evicts are freed after the lock is released.
+//! A persistent-mode writer never waits on readers; a left-right writer
+//! waits only for views of older epochs that still hold its standby copy
+//! (see [`shard`](crate::shard)), parking until such a view drops.
+//!
+//! **History.** When every shard is persistent, the router also keeps a
+//! bounded log of recent views for "as of epoch N" time-travel queries
+//! ([`Router::pin_at`]). The log holds the very views readers pin, so a
+//! retained epoch costs only the copy-on-write spine its batch duplicated.
+//! Under the left-right fallback a retained view would pin an old copy and
+//! stall the writer, so such routers keep no history and answer `pin_at`
+//! with `None`.
 
-use crate::shard::{IndexFactory, Shard, Snapshot, SnapshotRef};
+use crate::shard::{IndexFactory, Reclaim, Shard, Snapshot};
+use crate::ServeConfig;
 use psi_geometry::{Coord, KnnHeap, Point, Rect};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Epoch-history entries dropped by the count or byte bound.
 static OBS_EVICTIONS: psi_obs::LazyCounter = psi_obs::LazyCounter::new(
@@ -44,9 +54,20 @@ static OBS_EVICTIONS: psi_obs::LazyCounter = psi_obs::LazyCounter::new(
     "time-travel history entries evicted by the count or byte bound",
 );
 
+/// Router views alive in the process: each router's current view, its
+/// retained history, and older views readers still pin.
+static OBS_PINNED: psi_obs::LazyGauge = psi_obs::LazyGauge::new(
+    "psi_serve_pinned_readers",
+    "router views alive: current, retained history, and older views still pinned",
+);
+
 /// Global epochs a persistent router keeps pinned for time-travel queries
 /// when no explicit history depth is configured.
 pub const DEFAULT_EPOCH_HISTORY: usize = 8;
+
+/// Fixed per-entry overhead charged against the history byte budget (the
+/// view, its snapshot `Arc`s, spine nodes a tiny batch still copies).
+const HISTORY_ENTRY_OVERHEAD: usize = 64;
 
 /// Coordinate types the router can cut into stripes (everything [`Coord`]
 /// plus exact interpolation of stripe boundaries).
@@ -69,48 +90,76 @@ impl ServeCoord for f64 {
     }
 }
 
-/// A set of shards covering the domain in dimension-0 stripes.
-pub struct Router<T: ServeCoord, const D: usize> {
-    shards: Vec<Shard<T, D>>,
+/// What every view of one router shares, fixed at construction.
+struct Frame<T: Coord, const D: usize> {
     /// `cuts[i]` is the lower dimension-0 bound of shard `i`'s stripe
     /// (`cuts[0]` is the domain's low edge; points below it route to
     /// shard 0, points past the last cut to the last shard).
     cuts: Vec<T>,
-    /// Global epoch counter plus the bounded time-travel log (empty when
-    /// any shard is non-persistent — see the module docs).
-    history: Mutex<History<T, D>>,
+    /// Each shard's stripe as a pruning box.
+    regions: Vec<Rect<T, D>>,
+    /// Wakes a left-right writer parked on a stale view; `None` when every
+    /// shard is persistent (their writers never wait on readers).
+    reclaim: Option<Reclaim>,
+}
+
+/// One published global epoch: a snapshot per shard.
+struct View<T: Coord, const D: usize> {
+    epoch: u64,
+    snaps: Vec<Arc<Snapshot<T, D>>>,
+    frame: Arc<Frame<T, D>>,
+}
+
+impl<T: Coord, const D: usize> View<T, D> {
+    fn new(epoch: u64, snaps: Vec<Arc<Snapshot<T, D>>>, frame: Arc<Frame<T, D>>) -> Self {
+        OBS_PINNED.inc();
+        View {
+            epoch,
+            snaps,
+            frame,
+        }
+    }
+}
+
+impl<T: Coord, const D: usize> Drop for View<T, D> {
+    fn drop(&mut self) {
+        OBS_PINNED.dec();
+        if let Some(reclaim) = &self.frame.reclaim {
+            // Release the snapshots before signalling (see `Reclaim::signal`).
+            self.snaps.clear();
+            reclaim.signal();
+        }
+    }
+}
+
+/// What readers see: the current view and, on persistent routers, the
+/// time-travel log. Guarded by one `RwLock`, written once per batch.
+struct Published<T: Coord, const D: usize> {
+    current: Arc<View<T, D>>,
+    /// Retained views with their estimated cost in bytes, oldest first.
+    /// Their epochs are contiguous and the newest is `current`. Empty when
+    /// history is off.
+    log: VecDeque<(Arc<View<T, D>>, usize)>,
+    /// Sum of the retained entries' costs.
+    log_bytes: usize,
+}
+
+/// A set of shards covering the domain in dimension-0 stripes.
+pub struct Router<T: ServeCoord, const D: usize> {
+    published: RwLock<Published<T, D>>,
+    /// Writer-side state per shard; the lock serialises publishes.
+    shards: Mutex<Vec<Shard<T, D>>>,
+    frame: Arc<Frame<T, D>>,
+    /// Views the history keeps; 0 disables it (left-right shards present,
+    /// or configured off).
+    history_cap: usize,
+    /// Byte budget across retained views; 0 = count bound only. The newest
+    /// view is always kept, even when over budget.
+    history_byte_cap: usize,
     /// Per-shard publish-latency histograms (`shard` label), resolved once
     /// at construction so the publish path never touches the registry.
     publish_hist: Vec<Arc<psi_obs::Histogram>>,
 }
-
-struct HistoryEntry<T: Coord, const D: usize> {
-    epoch: u64,
-    view: RouterView<T, D>,
-    /// Estimated retained bytes this entry adds beyond the live tree: the
-    /// copy-on-write spine a persistent publish duplicates is proportional
-    /// to the batch, so the estimate charges the batch's point payload plus
-    /// a fixed per-entry overhead.
-    bytes: usize,
-}
-
-struct History<T: Coord, const D: usize> {
-    /// Retained epochs, oldest first; at most `cap` entries.
-    log: VecDeque<HistoryEntry<T, D>>,
-    /// Batches published through the router so far.
-    epoch: u64,
-    /// 0 disables the log (left-right shards present, or configured off).
-    cap: usize,
-    /// Byte budget across retained entries; 0 = unbounded (count bound
-    /// only). The newest entry is always kept, even when over budget.
-    byte_cap: usize,
-    /// Estimated bytes currently retained (sum of entry costs).
-    bytes: usize,
-}
-
-/// Fixed per-entry overhead charged against the byte budget (snapshot Arcs,
-/// the log slot, spine nodes a tiny batch still copies).
-const HISTORY_ENTRY_OVERHEAD: usize = 64;
 
 /// Conservative stripe box for pruning: unbounded in every dimension except
 /// the stripe's dimension-0 slice, and closed on both cuts (a boundary point
@@ -128,53 +177,24 @@ fn stripe_region<T: Coord, const D: usize>(lo: Option<T>, hi: Option<T>) -> Rect
 }
 
 impl<T: ServeCoord, const D: usize> Router<T, D> {
-    /// Partition `points` into `shard_count` stripes of `universe` along
-    /// dimension 0 and build one [`Shard`] per stripe, keeping the default
-    /// epoch-history depth ([`DEFAULT_EPOCH_HISTORY`]).
+    /// Partition `points` into [`ServeConfig::shards`] stripes of `universe`
+    /// along dimension 0 (0 is taken as 1) and build one shard per stripe,
+    /// published as global epoch `base_epoch` — crash recovery seeds it at
+    /// the checkpoint watermark so epoch numbers continue across a restart.
+    ///
+    /// When every shard is persistent, the router retains the last
+    /// [`ServeConfig::epoch_history`] views for [`Router::pin_at`], evicting
+    /// older ones sooner once their estimated bytes (batch payload plus a
+    /// fixed overhead per view) exceed [`ServeConfig::epoch_history_bytes`]
+    /// (0 = no byte bound); the newest view is always kept.
     pub fn new(
         factory: &IndexFactory<T, D>,
         points: &[Point<T, D>],
         universe: &Rect<T, D>,
-        shard_count: usize,
-    ) -> Self {
-        Self::with_history(
-            factory,
-            points,
-            universe,
-            shard_count,
-            DEFAULT_EPOCH_HISTORY,
-        )
-    }
-
-    /// As [`Router::new`], with an explicit epoch-history depth: how many
-    /// recent global epochs stay pinned for [`Router::pin_at`]. Takes
-    /// effect only when every shard is persistent; `0` disables the log.
-    pub fn with_history(
-        factory: &IndexFactory<T, D>,
-        points: &[Point<T, D>],
-        universe: &Rect<T, D>,
-        shard_count: usize,
-        epoch_history: usize,
-    ) -> Self {
-        Self::with_history_at(factory, points, universe, shard_count, epoch_history, 0, 0)
-    }
-
-    /// The fully-general constructor: an explicit epoch-history depth, an
-    /// additional **byte budget** for the history (`0` = count bound only;
-    /// estimated retained bytes per entry are charged as batch payload plus
-    /// a fixed overhead, and the newest entry is always kept), and a
-    /// starting global epoch — crash recovery seeds `base_epoch` at the
-    /// checkpoint watermark so epoch numbers continue across a restart.
-    pub fn with_history_at(
-        factory: &IndexFactory<T, D>,
-        points: &[Point<T, D>],
-        universe: &Rect<T, D>,
-        shard_count: usize,
-        epoch_history: usize,
-        epoch_history_bytes: usize,
+        cfg: &ServeConfig,
         base_epoch: u64,
     ) -> Self {
-        assert!(shard_count >= 1, "a router needs at least one shard");
+        let shard_count = cfg.shards.max(1);
         let cuts: Vec<T> = (0..shard_count)
             .map(|i| T::lerp(universe.lo.coords[0], universe.hi.coords[0], i, shard_count))
             .collect();
@@ -182,18 +202,29 @@ impl<T: ServeCoord, const D: usize> Router<T, D> {
         for p in points {
             parts[shard_of(&cuts, p)].push(*p);
         }
-        let shards: Vec<Shard<T, D>> = (0..shard_count)
+        let (shards, snaps): (Vec<Shard<T, D>>, Vec<_>) =
+            parts.iter().map(|part| Shard::new(factory, part)).unzip();
+        let persistent = shards.iter().all(Shard::is_persistent);
+        let regions = (0..shard_count)
             .map(|i| {
                 let lo = (i > 0).then(|| cuts[i]);
                 let hi = (i + 1 < shard_count).then(|| cuts[i + 1]);
-                Shard::with_epoch(stripe_region(lo, hi), factory, &parts[i], base_epoch)
+                stripe_region(lo, hi)
             })
             .collect();
-        let cap = if shards.iter().all(Shard::is_persistent) {
-            epoch_history
-        } else {
-            0
-        };
+        let frame = Arc::new(Frame {
+            cuts,
+            regions,
+            reclaim: (!persistent).then(Reclaim::default),
+        });
+        let history_cap = if persistent { cfg.epoch_history } else { 0 };
+        let current = Arc::new(View::new(base_epoch, snaps, Arc::clone(&frame)));
+        let mut log = VecDeque::new();
+        let mut log_bytes = 0;
+        if history_cap > 0 {
+            log.push_back((Arc::clone(&current), HISTORY_ENTRY_OVERHEAD));
+            log_bytes = HISTORY_ENTRY_OVERHEAD;
+        }
         let publish_hist = (0..shard_count)
             .map(|i| {
                 psi_obs::histogram(
@@ -203,138 +234,143 @@ impl<T: ServeCoord, const D: usize> Router<T, D> {
                 )
             })
             .collect();
-        let router = Router {
-            shards,
-            cuts,
-            publish_hist,
-            history: Mutex::new(History {
-                log: VecDeque::new(),
-                epoch: base_epoch,
-                cap,
-                byte_cap: epoch_history_bytes,
-                bytes: 0,
+        Router {
+            published: RwLock::new(Published {
+                current,
+                log,
+                log_bytes,
             }),
-        };
-        if cap > 0 {
-            let initial = router.pin();
-            let mut h = router.history.lock().unwrap();
-            h.bytes = HISTORY_ENTRY_OVERHEAD;
-            h.log.push_back(HistoryEntry {
-                epoch: base_epoch,
-                view: initial,
-                bytes: HISTORY_ENTRY_OVERHEAD,
-            });
+            shards: Mutex::new(shards),
+            frame,
+            history_cap,
+            history_byte_cap: cfg.epoch_history_bytes,
+            publish_hist,
         }
-        router
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Direct access to a shard (tests, epoch inspection).
-    pub fn shard(&self, i: usize) -> &Shard<T, D> {
-        &self.shards[i]
+        self.frame.cuts.len()
     }
 
     /// The shard a point routes to.
     pub fn shard_of(&self, p: &Point<T, D>) -> usize {
-        shard_of(&self.cuts, p)
+        shard_of(&self.frame.cuts, p)
     }
 
-    /// Pin every shard's current snapshot as one read view.
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Published<T, D>> {
+        self.published
+            .read()
+            .expect("the publication lock is held only for infallible swaps")
+    }
+
+    /// Pin the current global epoch: one read lock and one `Arc` clone.
     pub fn pin(&self) -> RouterView<T, D> {
         RouterView {
-            snaps: self.shards.iter().map(Shard::pin).collect(),
-            regions: self.shards.iter().map(|s| *s.region()).collect(),
-            cuts: self.cuts.clone(),
+            view: Arc::clone(&self.read().current),
         }
     }
 
-    /// Split a batch by stripe and publish it per shard (deletions before
-    /// insertions, per the `BatchDiff` contract). Shards whose sub-batch is
-    /// empty keep their current epoch. Bumps the global epoch by one and,
-    /// on persistent routers, records the new view in the time-travel log.
-    /// Returns the number of shards that published a new epoch. Callers
-    /// must serialise publishes (the server runs one writer thread).
-    pub fn publish(&self, delete: &[Point<T, D>], insert: &[Point<T, D>]) -> usize {
+    /// Split a batch by stripe, apply each non-empty sub-batch to its shard
+    /// (deletions before insertions, per the `BatchDiff` contract), and
+    /// publish the result as one view under the next global epoch, which is
+    /// returned. Shards the batch does not touch carry their snapshots over
+    /// unchanged. On persistent routers the new view also enters the
+    /// time-travel log. Publishes are serialised internally.
+    pub fn publish(&self, delete: &[Point<T, D>], insert: &[Point<T, D>]) -> u64 {
         let split = |pts: &[Point<T, D>]| {
-            let mut parts: Vec<Vec<Point<T, D>>> = vec![Vec::new(); self.shards.len()];
+            let mut parts: Vec<Vec<Point<T, D>>> = vec![Vec::new(); self.shard_count()];
             for p in pts {
-                parts[shard_of(&self.cuts, p)].push(*p);
+                parts[self.shard_of(p)].push(*p);
             }
             parts
         };
         let dels = split(delete);
         let inss = split(insert);
-        let mut published = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
+        let mut shards = self.shards.lock().expect("an earlier publish panicked");
+        let (epoch, mut snaps) = {
+            let published = self.read();
+            (published.current.epoch + 1, published.current.snaps.clone())
+        };
+        for (i, shard) in shards.iter_mut().enumerate() {
             if dels[i].is_empty() && inss[i].is_empty() {
                 continue;
             }
             let t0 = std::time::Instant::now();
-            shard.publish(&dels[i], &inss[i]);
+            snaps[i] = shard.publish(&dels[i], &inss[i], self.frame.reclaim.as_ref());
             self.publish_hist[i].record_duration(t0.elapsed());
-            published += 1;
         }
-        let mut h = self.history.lock().unwrap();
-        h.epoch += 1;
-        if h.cap > 0 {
-            let epoch = h.epoch;
-            let view = self.pin();
-            let bytes = (delete.len() + insert.len()) * D * 8 + HISTORY_ENTRY_OVERHEAD;
-            h.bytes += bytes;
-            h.log.push_back(HistoryEntry { epoch, view, bytes });
-            while h.log.len() > h.cap || (h.byte_cap > 0 && h.bytes > h.byte_cap && h.log.len() > 1)
-            {
-                if let Some(evicted) = h.log.pop_front() {
-                    h.bytes -= evicted.bytes;
+        let next = Arc::new(View::new(epoch, snaps, Arc::clone(&self.frame)));
+        let bytes = (delete.len() + insert.len()) * D * 8 + HISTORY_ENTRY_OVERHEAD;
+
+        // Views leaving the published state are dropped only after the
+        // write lock is released: freeing a large copy-on-write spine must
+        // not stall readers waiting to pin.
+        let mut retired = Vec::new();
+        {
+            let mut published = self
+                .published
+                .write()
+                .expect("the publication lock is held only for infallible swaps");
+            let p = &mut *published;
+            retired.push(std::mem::replace(&mut p.current, Arc::clone(&next)));
+            if self.history_cap > 0 {
+                p.log.push_back((next, bytes));
+                p.log_bytes += bytes;
+                while p.log.len() > self.history_cap
+                    || (self.history_byte_cap > 0
+                        && p.log_bytes > self.history_byte_cap
+                        && p.log.len() > 1)
+                {
+                    let (evicted, cost) = p.log.pop_front().expect("log is non-empty");
+                    p.log_bytes -= cost;
+                    retired.push(evicted);
                     OBS_EVICTIONS.bump();
                 }
             }
         }
-        published
+        drop(retired);
+        epoch
     }
 
-    /// The global epoch: batches published through this router so far.
+    /// The global epoch: `base_epoch` plus the batches published so far.
     pub fn epoch(&self) -> u64 {
-        self.history.lock().unwrap().epoch
+        self.read().current.epoch
     }
 
     /// `true` when every shard runs in persistent mode (one live tree per
     /// shard, `O(1)` publishes, epoch history available).
     pub fn is_persistent(&self) -> bool {
-        self.shards.iter().all(Shard::is_persistent)
+        self.frame.reclaim.is_none()
     }
 
-    /// The view recorded at global `epoch`, if it is still in the history
-    /// window. `None` for evicted or future epochs, and always `None` on
+    /// The view of global `epoch`, if it is still in the history window.
+    /// `None` for evicted or future epochs, and always `None` on
     /// non-persistent routers (no history is kept — see the module docs).
     pub fn pin_at(&self, epoch: u64) -> Option<RouterView<T, D>> {
-        let h = self.history.lock().unwrap();
-        h.log
-            .iter()
-            .find(|entry| entry.epoch == epoch)
-            .map(|entry| entry.view.clone())
+        let published = self.read();
+        let oldest = published.log.front()?.0.epoch;
+        let i = usize::try_from(epoch.checked_sub(oldest)?).ok()?;
+        let (view, _) = published.log.get(i)?;
+        Some(RouterView {
+            view: Arc::clone(view),
+        })
     }
 
     /// The `(oldest, newest)` global epochs currently answerable by
     /// [`Router::pin_at`]; `None` when no history is kept.
     pub fn epoch_bounds(&self) -> Option<(u64, u64)> {
-        let h = self.history.lock().unwrap();
-        match (h.log.front(), h.log.back()) {
-            (Some(first), Some(last)) => Some((first.epoch, last.epoch)),
-            _ => None,
-        }
+        let published = self.read();
+        let oldest = published.log.front()?.0.epoch;
+        Some((oldest, published.current.epoch))
     }
 
-    /// Total stored points across the current shard epochs.
+    /// Total stored points in the current view.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
+        self.pin().len()
     }
 
-    /// `true` if no shard stores any point.
+    /// `true` if the current view stores no point.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -346,49 +382,37 @@ fn shard_of<T: Coord, const D: usize>(cuts: &[T], p: &Point<T, D>) -> usize {
         .saturating_sub(1)
 }
 
-/// A consistent-per-shard read view: every shard's snapshot pinned at one
-/// instant (see the module docs for the consistency contract). Cloning is
-/// cheap — it re-pins the same snapshots.
+/// A pinned read view: every shard's snapshot of one global epoch (see the
+/// module docs). Cloning is one `Arc` clone of the same view.
+#[derive(Clone)]
 pub struct RouterView<T: Coord, const D: usize> {
-    snaps: Vec<SnapshotRef<T, D>>,
-    regions: Vec<Rect<T, D>>,
-    cuts: Vec<T>,
-}
-
-impl<T: Coord, const D: usize> Clone for RouterView<T, D> {
-    fn clone(&self) -> Self {
-        RouterView {
-            snaps: self.snaps.clone(),
-            regions: self.regions.clone(),
-            cuts: self.cuts.clone(),
-        }
-    }
+    view: Arc<View<T, D>>,
 }
 
 impl<T: Coord, const D: usize> RouterView<T, D> {
-    /// Per-shard epochs of this view, in shard order.
-    pub fn epochs(&self) -> Vec<u64> {
-        self.snaps.iter().map(|s| s.epoch()).collect()
+    /// The global epoch this view was published as.
+    pub fn epoch(&self) -> u64 {
+        self.view.epoch
     }
 
-    /// One pinned shard snapshot.
+    /// One shard's snapshot in this view.
     pub fn snapshot(&self, i: usize) -> &Snapshot<T, D> {
-        &self.snaps[i]
+        &self.view.snaps[i]
     }
 
     /// Number of shards in the view.
     pub fn shard_count(&self) -> usize {
-        self.snaps.len()
+        self.view.snaps.len()
     }
 
     /// The shard a point routes to (same cut table as the router).
     pub fn shard_of(&self, p: &Point<T, D>) -> usize {
-        shard_of(&self.cuts, p)
+        shard_of(&self.view.frame.cuts, p)
     }
 
     /// Total stored points in this view.
     pub fn len(&self) -> usize {
-        self.snaps.iter().map(|s| s.len()).sum()
+        self.view.snaps.iter().map(|s| s.len()).sum()
     }
 
     /// `true` if the view holds no points.
@@ -400,10 +424,12 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
     /// query shards in stripe-distance order, keep the best `k`, stop as
     /// soon as the next stripe cannot improve on the `k`-th distance.
     pub fn knn(&self, q: &Point<T, D>, k: usize) -> Vec<Point<T, D>> {
-        if k == 0 || self.snaps.is_empty() {
+        if k == 0 || self.view.snaps.is_empty() {
             return Vec::new();
         }
         let mut order: Vec<(T::Dist, usize)> = self
+            .view
+            .frame
             .regions
             .iter()
             .enumerate()
@@ -415,7 +441,7 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
             if heap.is_full() && !heap.could_improve(dist) {
                 break; // sorted by stripe distance: nothing further helps
             }
-            for p in self.snaps[i].index().knn(q, k) {
+            for p in self.view.snaps[i].index().knn(q, k) {
                 heap.offer_point(q, p);
             }
         }
@@ -429,15 +455,15 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
         if k == 0 || queries.is_empty() {
             return vec![Vec::new(); queries.len()];
         }
-        if self.snaps.len() == 1 {
-            return self.snaps[0].index().knn_batch(queries, k);
+        if self.view.snaps.len() == 1 {
+            return self.view.snaps[0].index().knn_batch(queries, k);
         }
 
         // Phase 1: group by home shard, one batch per shard.
-        let s = self.snaps.len();
+        let s = self.view.snaps.len();
         let mut per_shard: Vec<(Vec<Point<T, D>>, Vec<usize>)> = vec![Default::default(); s];
         for (qi, q) in queries.iter().enumerate() {
-            let home = shard_of(&self.cuts, q);
+            let home = self.shard_of(q);
             per_shard[home].0.push(*q);
             per_shard[home].1.push(qi);
         }
@@ -446,7 +472,7 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
             if qs.is_empty() {
                 continue;
             }
-            for (ans, &qi) in self.snaps[si]
+            for (ans, &qi) in self.view.snaps[si]
                 .index()
                 .knn_batch(qs, k)
                 .into_iter()
@@ -460,7 +486,7 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
         // stripe (or that found fewer than k at home).
         let mut spill: Vec<(Vec<Point<T, D>>, Vec<usize>)> = vec![Default::default(); s];
         for (qi, q) in queries.iter().enumerate() {
-            let home = shard_of(&self.cuts, q);
+            let home = self.shard_of(q);
             let bound = if answers[qi].len() == k {
                 Some(q.dist_sq(answers[qi].last().expect("k >= 1 answers")))
             } else {
@@ -473,7 +499,7 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
                 let reaches = match bound {
                     None => true,
                     Some(b) => {
-                        T::dist_cmp(self.regions[si].dist_sq_to_point(q), b)
+                        T::dist_cmp(self.view.frame.regions[si].dist_sq_to_point(q), b)
                             == std::cmp::Ordering::Less
                     }
                 };
@@ -488,7 +514,7 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
             if qs.is_empty() {
                 continue;
             }
-            for (ans, &qi) in self.snaps[si]
+            for (ans, &qi) in self.view.snaps[si]
                 .index()
                 .knn_batch(qs, k)
                 .into_iter()
@@ -517,9 +543,10 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
     /// Number of stored points in the box, fanned out per intersecting
     /// shard and summed (stripes are disjoint, so no deduplication).
     pub fn range_count(&self, rect: &Rect<T, D>) -> usize {
-        self.snaps
+        self.view
+            .snaps
             .iter()
-            .zip(&self.regions)
+            .zip(&self.view.frame.regions)
             .filter(|(_, region)| region.intersects(rect))
             .map(|(snap, _)| snap.index().range_count(rect))
             .sum()
@@ -529,7 +556,7 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
     /// rects that intersect its stripe.
     pub fn range_count_batch(&self, rects: &[Rect<T, D>]) -> Vec<usize> {
         let mut out = vec![0usize; rects.len()];
-        for (snap, region) in self.snaps.iter().zip(&self.regions) {
+        for (snap, region) in self.view.snaps.iter().zip(&self.view.frame.regions) {
             let (sub, idxs): (Vec<Rect<T, D>>, Vec<usize>) = rects
                 .iter()
                 .enumerate()
@@ -549,7 +576,7 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
     /// The stored points in the box, concatenated in shard order.
     pub fn range_list(&self, rect: &Rect<T, D>) -> Vec<Point<T, D>> {
         let mut out = Vec::new();
-        for (snap, region) in self.snaps.iter().zip(&self.regions) {
+        for (snap, region) in self.view.snaps.iter().zip(&self.view.frame.regions) {
             if region.intersects(rect) {
                 snap.index().range_visit(rect, &mut |p| out.push(*p));
             }
@@ -561,7 +588,7 @@ impl<T: Coord, const D: usize> RouterView<T, D> {
     /// answers concatenated in shard order per rect.
     pub fn range_list_batch(&self, rects: &[Rect<T, D>]) -> Vec<Vec<Point<T, D>>> {
         let mut out: Vec<Vec<Point<T, D>>> = vec![Vec::new(); rects.len()];
-        for (snap, region) in self.snaps.iter().zip(&self.regions) {
+        for (snap, region) in self.view.snaps.iter().zip(&self.view.frame.regions) {
             let (sub, idxs): (Vec<Rect<T, D>>, Vec<usize>) = rects
                 .iter()
                 .enumerate()
@@ -587,7 +614,8 @@ mod tests {
     use psi::SpatialIndex as _;
     use psi_geometry::PointI;
     use psi_workloads as workloads;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn factory() -> IndexFactory<i64, 2> {
         named_factory("spac-h")
@@ -599,12 +627,45 @@ mod tests {
         })
     }
 
+    fn cfg(shards: usize, epoch_history: usize, epoch_history_bytes: usize) -> ServeConfig {
+        ServeConfig {
+            shards,
+            epoch_history,
+            epoch_history_bytes,
+            ..Default::default()
+        }
+    }
+
+    /// A router with the default history settings.
+    fn router(
+        factory: &IndexFactory<i64, 2>,
+        points: &[PointI<2>],
+        universe: &Rect<i64, 2>,
+        shards: usize,
+    ) -> Router<i64, 2> {
+        Router::new(
+            factory,
+            points,
+            universe,
+            &cfg(shards, DEFAULT_EPOCH_HISTORY, 0),
+            0,
+        )
+    }
+
+    fn pts(range: std::ops::Range<i64>) -> Vec<PointI<2>> {
+        range.map(|i| Point::new([i, i * 2])).collect()
+    }
+
+    fn world() -> Rect<i64, 2> {
+        Rect::from_corners(Point::new([i64::MIN; 2]), Point::new([i64::MAX; 2]))
+    }
+
     #[test]
     fn routing_is_total_and_disjoint() {
         let max = 1_000_000;
         let universe = workloads::universe::<2>(max);
         let data = workloads::uniform::<2>(5_000, max, 11);
-        let router = Router::new(&factory(), &data, &universe, 4);
+        let router = router(&factory(), &data, &universe, 4);
         assert_eq!(router.shard_count(), 4);
         assert_eq!(router.len(), data.len());
         // Every point routes to exactly the shard that stores it.
@@ -624,7 +685,7 @@ mod tests {
         let max = 100_000;
         let universe = workloads::universe::<2>(max);
         let data = workloads::varden::<2>(4_000, max, 3);
-        let router = Router::new(&factory(), &data, &universe, 3);
+        let router = router(&factory(), &data, &universe, 3);
         let oracle = BruteForce::<i64, 2>::build(&data, &universe);
         let view = router.pin();
 
@@ -665,21 +726,230 @@ mod tests {
         let max = 90_000;
         let universe = workloads::universe::<2>(max);
         let data = workloads::uniform::<2>(3_000, max, 21);
-        let router = Router::new(&factory(), &data, &universe, 3);
-        let before = router.pin().epochs();
-        assert_eq!(before, vec![0, 0, 0]);
+        let router = router(&factory(), &data, &universe, 3);
+        let before = router.pin();
+        assert_eq!(before.epoch(), 0);
 
-        // A batch confined to the first stripe bumps only shard 0's epoch.
+        // A batch confined to the first stripe replaces only shard 0's
+        // snapshot; the others carry over into the new view unchanged.
         let local: Vec<PointI<2>> = (0..40).map(|i| Point::new([i, i])).collect();
-        let touched = router.publish(&[], &local);
-        assert_eq!(touched, 1);
-        assert_eq!(router.pin().epochs(), vec![1, 0, 0]);
+        assert_eq!(router.publish(&[], &local), 1);
+        let after = router.pin();
+        assert_eq!(after.epoch(), 1);
+        assert!(!std::ptr::eq(before.snapshot(0), after.snapshot(0)));
+        for s in 1..3 {
+            assert!(std::ptr::eq(before.snapshot(s), after.snapshot(s)));
+        }
         assert_eq!(router.len(), data.len() + 40);
+        assert_eq!(before.len(), data.len(), "the old view is unchanged");
 
         // A spanning batch touches every shard; deletions come first.
-        let touched = router.publish(&local, &data[..6]);
-        assert!(touched >= 2);
+        assert_eq!(router.publish(&local, &data[..6]), 2);
         assert_eq!(router.len(), data.len() + 6);
+    }
+
+    #[test]
+    fn publish_bumps_epochs_and_pins_are_stable() {
+        // Both writer modes must satisfy the same epoch contract.
+        for family in ["pkd", "cpam-h"] {
+            let router = router(&named_factory(family), &pts(0..100), &world(), 1);
+            assert_eq!(router.is_persistent(), family == "cpam-h");
+            let e0 = router.pin();
+            assert_eq!(e0.epoch(), 0);
+            assert_eq!(e0.len(), 100);
+
+            assert_eq!(router.publish(&pts(0..10), &pts(100..130)), 1);
+            // The old pin still sees epoch 0 in full.
+            assert_eq!(e0.len(), 100);
+            assert_eq!(e0.snapshot(0).index().range_count(&world()), 100);
+            // A fresh pin sees the whole batch.
+            let e1 = router.pin();
+            assert_eq!(e1.epoch(), 1);
+            assert_eq!(e1.len(), 120);
+            assert_eq!(e1.snapshot(0).index().range_count(&world()), 120);
+        }
+    }
+
+    #[test]
+    fn lag_catchup_keeps_both_copies_identical() {
+        let router = router(&named_factory("pkd"), &pts(0..50), &world(), 1);
+        assert!(!router.is_persistent());
+        // Several publishes: the standby is always one batch behind and
+        // must catch up correctly (drop pins so the writer can reclaim).
+        for round in 0..5i64 {
+            let del = pts(round * 5..round * 5 + 5);
+            let ins = pts(100 + round * 7..100 + round * 7 + 7);
+            assert_eq!(router.publish(&del, &ins), round as u64 + 1);
+            let pin = router.pin();
+            assert_eq!(pin.epoch(), round as u64 + 1);
+            let want = 50 - 5 * (round as usize + 1) + 7 * (round as usize + 1);
+            assert_eq!(pin.len(), want);
+            assert_eq!(pin.snapshot(0).index().range_count(&world()), want);
+        }
+    }
+
+    #[test]
+    fn concurrent_readers_see_whole_epochs_only() {
+        for family in ["pkd", "cpam-h"] {
+            let router = Arc::new(router(&named_factory(family), &pts(-100..100), &world(), 2));
+            // Epoch e has exactly 200 + 10e points (insert-only batches
+            // spanning both stripes), so a torn read would show a size
+            // matching no epoch.
+            let stop = Arc::new(AtomicBool::new(false));
+            let readers: Vec<_> = (0..3)
+                .map(|_| {
+                    let router = Arc::clone(&router);
+                    let stop = Arc::clone(&stop);
+                    std::thread::spawn(move || {
+                        let mut seen_epochs = Vec::new();
+                        let mut last = 0u64;
+                        // Check `stop` *before* the observation, so even a
+                        // reader first scheduled after the writer finished
+                        // still makes one (final-epoch) observation.
+                        loop {
+                            let finishing = stop.load(Ordering::Acquire);
+                            let view = router.pin();
+                            let e = view.epoch();
+                            assert!(e >= last, "epochs must be monotonic per reader");
+                            last = e;
+                            assert_eq!(
+                                view.range_count(&world()) as u64,
+                                200 + 10 * e,
+                                "reader observed a torn epoch"
+                            );
+                            seen_epochs.push(e);
+                            if finishing {
+                                break;
+                            }
+                        }
+                        seen_epochs
+                    })
+                })
+                .collect();
+            for round in 0..20i64 {
+                // Five points below the cut, five above.
+                let lo = pts(1_000 + round * 5..1_000 + round * 5 + 5);
+                let hi: Vec<PointI<2>> = lo.iter().map(|p| Point::new([-p.coords[0], 0])).collect();
+                router.publish(&[], &[lo, hi].concat());
+            }
+            stop.store(true, Ordering::Release);
+            for r in readers {
+                let seen = r.join().unwrap();
+                assert!(!seen.is_empty());
+                // The observation made after `stop` was set sees the final
+                // epoch.
+                assert_eq!(*seen.last().unwrap(), 20);
+            }
+            assert_eq!(router.epoch(), 20);
+            assert_eq!(router.len(), 400);
+        }
+    }
+
+    #[test]
+    fn persistent_shards_build_one_tree_left_right_builds_two() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counting = |name: &'static str, calls: Arc<AtomicUsize>| -> IndexFactory<i64, 2> {
+            Arc::new(move |pts: &[PointI<2>]| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                registry::create::<2>(name, pts, &BuildOptions::default()).unwrap()
+            })
+        };
+
+        let r = router(
+            &counting("cpam-h", Arc::clone(&calls)),
+            &pts(-32..32),
+            &world(),
+            2,
+        );
+        assert!(r.is_persistent());
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            2,
+            "persistent: one tree per shard"
+        );
+
+        calls.store(0, Ordering::Relaxed);
+        let r = router(
+            &counting("pkd", Arc::clone(&calls)),
+            &pts(-32..32),
+            &world(),
+            2,
+        );
+        assert!(!r.is_persistent());
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            4,
+            "left-right: double buffer per shard"
+        );
+    }
+
+    #[test]
+    fn persistent_publish_copies_a_spine_not_the_tree() {
+        use psi_parutils::stats::counters;
+        // A full copy of n points costs >= n/phi leaf nodes; a CoW publish
+        // of a tiny batch touches only the spine. The NODES_COPIED counter
+        // is process-global, so the measurement uses the scoped same-thread
+        // capture: these 8-point batches sit far below the update paths'
+        // parallel grain, so every copy happens on this thread and the
+        // captured delta is exact — concurrent tests no longer interfere.
+        let n = 60_000i64;
+        let router = router(&named_factory("cpam-h"), &pts(0..n), &world(), 1);
+        assert!(router.is_persistent());
+        let pins: Vec<_> = (0..4).map(|_| router.pin()).collect(); // live views forcing CoW
+        let ((), copied) = counters::NODES_COPIED.scoped(|| {
+            for round in 0..10i64 {
+                router.publish(&[], &pts(n + round * 8..n + round * 8 + 8));
+            }
+        });
+        // 10 publishes x 8 points over n=60k: spine copies only. A single
+        // full copy would clone >= 1_500 leaves; stay well under that.
+        assert!(
+            copied < 1_200,
+            "publish copied {copied} nodes - that smells like a full copy"
+        );
+        drop(pins);
+    }
+
+    #[test]
+    fn persistent_writer_never_waits_on_readers() {
+        // Hold pins of *every* epoch while publishing: a left-right writer
+        // would deadlock here (the stale pins never drop); the persistent
+        // writer sails through.
+        let router = router(&named_factory("cpam-z"), &pts(0..100), &world(), 1);
+        assert!(router.is_persistent());
+        let mut pins = vec![router.pin()];
+        for round in 0..8i64 {
+            router.publish(&[], &pts(200 + round * 3..200 + round * 3 + 3));
+            pins.push(router.pin());
+        }
+        // Every historical epoch is still fully queryable.
+        for (e, pin) in pins.iter().enumerate() {
+            assert_eq!(pin.epoch(), e as u64);
+            assert_eq!(pin.len(), 100 + 3 * e);
+            assert_eq!(pin.range_count(&world()), 100 + 3 * e);
+        }
+    }
+
+    #[test]
+    fn left_right_writer_parks_and_wakes_on_pin_drop() {
+        // A stale view held longer than the spin budget forces the writer
+        // onto the condvar path; dropping the view must wake it promptly.
+        let router = Arc::new(router(&named_factory("pkd"), &pts(0..100), &world(), 1));
+        assert!(!router.is_persistent());
+        router.publish(&[], &pts(100..110)); // epoch 1; standby = epoch-0 copy
+        let stale = router.pin(); // pins epoch 1 (next publish's standby)
+        router.publish(&[], &pts(110..120)); // epoch 2; standby = epoch-1 copy, held by `stale`
+
+        let writer = {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || router.publish(&[], &pts(120..130)))
+        };
+        // Give the writer time to exhaust its spin budget and park.
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!writer.is_finished(), "writer must wait for the stale view");
+        drop(stale);
+        assert_eq!(writer.join().unwrap(), 3);
+        assert_eq!(router.len(), 130);
     }
 
     #[test]
@@ -687,7 +957,7 @@ mod tests {
         let max = 80_000;
         let universe = workloads::universe::<2>(max);
         let data = workloads::uniform::<2>(2_000, max, 13);
-        let router = Router::with_history(&named_factory("cpam-h"), &data, &universe, 2, 4);
+        let router = Router::new(&named_factory("cpam-h"), &data, &universe, &cfg(2, 4, 0), 0);
         assert!(router.is_persistent());
         assert_eq!(router.epoch(), 0);
         assert_eq!(router.epoch_bounds(), Some((0, 0)));
@@ -705,12 +975,14 @@ mod tests {
         assert_eq!(router.epoch_bounds(), Some((3, 6)));
         for e in 3..=6u64 {
             let view = router.pin_at(e).expect("epoch within the window");
+            assert_eq!(view.epoch(), e);
             assert_eq!(view.len(), data.len() + 5 * e as usize);
         }
         for e in 0..3u64 {
             assert!(router.pin_at(e).is_none(), "epoch {e} must be evicted");
         }
         assert!(router.pin_at(7).is_none(), "future epochs are unknown");
+        assert!(router.pin_at(u64::MAX).is_none());
     }
 
     #[test]
@@ -721,8 +993,13 @@ mod tests {
         // Count bound generous (32); the byte budget is the binding
         // constraint. Each 50-point insert batch costs 50 * 2 * 8 + 64 =
         // 864 bytes, so a 3_000-byte budget holds at most 3 batch entries.
-        let router =
-            Router::with_history_at(&named_factory("cpam-h"), &data, &universe, 2, 32, 3_000, 0);
+        let router = Router::new(
+            &named_factory("cpam-h"),
+            &data,
+            &universe,
+            &cfg(2, 32, 3_000),
+            0,
+        );
         for round in 0..10i64 {
             let ins: Vec<PointI<2>> = (0..50)
                 .map(|i| Point::new([(round * 50 + i) * 13 % max, i * 17 % max]))
@@ -736,24 +1013,37 @@ mod tests {
         assert!(router.pin_at(lo.saturating_sub(1)).is_none());
 
         // A byte budget smaller than any entry still keeps the newest.
-        let tiny = Router::with_history_at(&named_factory("cpam-h"), &data, &universe, 1, 32, 1, 0);
+        let tiny = Router::new(
+            &named_factory("cpam-h"),
+            &data,
+            &universe,
+            &cfg(1, 32, 1),
+            0,
+        );
         tiny.publish(&[], &data[..50]);
         assert_eq!(tiny.epoch_bounds(), Some((1, 1)));
     }
 
     #[test]
-    fn base_epoch_seeds_shards_and_history() {
+    fn base_epoch_seeds_views_and_history() {
         let max = 50_000;
         let universe = workloads::universe::<2>(max);
         let data = workloads::uniform::<2>(500, max, 37);
-        let router =
-            Router::with_history_at(&named_factory("spac-h"), &data, &universe, 2, 4, 0, 17);
+        let router = Router::new(
+            &named_factory("spac-h"),
+            &data,
+            &universe,
+            &cfg(2, 4, 0),
+            17,
+        );
         assert_eq!(router.epoch(), 17);
-        assert_eq!(router.pin().epochs(), vec![17, 17]);
+        assert_eq!(router.pin().epoch(), 17);
         assert_eq!(router.epoch_bounds(), Some((17, 17)));
-        router.publish(&[], &data[..5]);
+        assert_eq!(router.publish(&[], &data[..5]), 18);
         assert_eq!(router.epoch(), 18);
-        assert!(router.pin_at(18).is_some());
+        assert_eq!(router.pin_at(18).unwrap().epoch(), 18);
+        assert_eq!(router.pin_at(17).unwrap().epoch(), 17);
+        assert!(router.pin_at(16).is_none());
     }
 
     #[test]
@@ -761,7 +1051,7 @@ mod tests {
         let max = 40_000;
         let universe = workloads::universe::<2>(max);
         let data = workloads::uniform::<2>(1_000, max, 29);
-        let router = Router::new(&named_factory("pkd"), &data, &universe, 2);
+        let router = router(&named_factory("pkd"), &data, &universe, 2);
         assert!(!router.is_persistent());
         router.publish(&[], &data[..10]);
         assert_eq!(router.epoch(), 1);
@@ -778,7 +1068,7 @@ mod tests {
         let data: Vec<Point<f64, 2>> = (0..2_000)
             .map(|i| Point::new([((i * 37) % 1_000) as f64, ((i * 91) % 1_000) as f64]))
             .collect();
-        let router = Router::new(&factory, &data, &universe, 2);
+        let router = Router::new(&factory, &data, &universe, &cfg(2, 8, 0), 0);
         let oracle = BruteForce::<f64, 2>::build(&data, &universe);
         let view = router.pin();
         let q = Point::new([500.0, 500.0]);

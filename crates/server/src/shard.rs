@@ -1,56 +1,35 @@
-//! Epoch-published index snapshots: one shard of the serving subsystem.
+//! Index snapshots and the writer side of one serving shard.
 //!
-//! A [`Shard`] publishes an immutable, epoch-stamped [`Snapshot`] that
-//! readers [`pin`](Shard::pin) and query lock-free; [`publish`](Shard::publish)
-//! applies a `.psi`-style batch (deletions, then insertions) and atomically
-//! swaps a new snapshot into the published slot under a new epoch number.
-//! Readers never observe a half-applied batch: a pinned snapshot is
-//! immutable for as long as the [`SnapshotRef`] is held, and the swap
-//! replaces the whole pointer. *How* the next snapshot is produced depends
-//! on the index family:
+//! A [`Snapshot`] is one immutable state of one shard's index. Readers never
+//! see a shard directly: the [router](crate::router) publishes a whole view
+//! — one snapshot per shard under one global epoch — and readers pin that
+//! view. What lives here is the writer's half: `Shard::publish` applies a
+//! `.psi`-style sub-batch (deletions, then insertions) and returns the
+//! shard's next snapshot for the router to swap in. *How* that snapshot is
+//! produced depends on the index family:
 //!
 //! * **Persistent mode** — families whose backbone is a functional
 //!   (path-copying) tree, i.e. whose [`DynIndex::snapshot_dyn`] returns
 //!   `Some` (the CPAM/SPaC PaC-trees), keep **one** live tree. A batch is
 //!   applied in place — copy-on-write duplicates only the `O(batch · log n)`
-//!   spine nodes it touches — and publishing is an `O(1)` handle clone
+//!   spine nodes it touches — and the snapshot is an `O(1)` handle clone
 //!   sharing everything else with the live tree. No standby copy exists,
 //!   memory is halved relative to the left-right scheme, and the writer
-//!   **never waits on readers**: stale pins just keep old spine nodes alive
+//!   **never waits on readers**: stale views just keep old spine nodes alive
 //!   until dropped.
 //! * **Left-right mode** — the fallback for families without structural
 //!   sharing. The shard owns two structurally identical copies built by the
-//!   same [`IndexFactory`]; batches apply to the writer's standby copy, the
-//!   swap publishes it, and the old published copy becomes the next standby
-//!   once the last readers of two epochs ago drop their pins. The writer
-//!   waits for those stale readers with a bounded spin that falls back to
-//!   parking on a condvar which [`SnapshotRef::drop`] signals — no unbounded
-//!   CPU burn when a pin is held across a long query.
-//!
-//! Blocking discipline:
-//!
-//! * readers never block on a publish — [`Shard::pin`] takes a read lock
-//!   held only for one `Arc` clone, and the writer's write lock covers only
-//!   the pointer swap (nanoseconds), never batch application;
-//! * a persistent-mode writer never blocks on readers at all;
-//! * a left-right writer blocks only on *stale* readers: a reader still
-//!   pinning the snapshot from two publishes ago delays the next publish
-//!   (never the current readers). Queries pin briefly, so this
-//!   back-pressure only engages when publishes outpace the slowest query —
-//!   and the wait parks instead of spinning.
+//!   same [`IndexFactory`]; batches apply to the standby copy, which then
+//!   becomes the published one, and the old published copy becomes the next
+//!   standby once the last views holding it drop. The writer waits for those
+//!   stale views with a bounded spin that falls back to parking on the
+//!   router's `Reclaim` condvar, which every dropped view signals — no
+//!   unbounded CPU burn when a view is pinned across a long query.
 
 use psi::registry::DynIndex;
-use psi_geometry::{Coord, Point, Rect};
-use std::ops::Deref;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use psi_geometry::{Coord, Point};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
-
-/// Live snapshot pins across every shard in the process (queries, retained
-/// history views, held `SnapshotRef`s). One relaxed add per pin/unpin.
-static OBS_PINNED: psi_obs::LazyGauge = psi_obs::LazyGauge::new(
-    "psi_serve_pinned_readers",
-    "snapshot pins currently held across all shards",
-);
 
 /// Builds one index copy over a point set. Persistent-capable families are
 /// built once per shard; left-right families are built twice (published +
@@ -58,258 +37,56 @@ static OBS_PINNED: psi_obs::LazyGauge = psi_obs::LazyGauge::new(
 pub type IndexFactory<T, const D: usize> =
     Arc<dyn Fn(&[Point<T, D>]) -> Box<dyn DynIndex<T, D>> + Send + Sync>;
 
-/// An immutable, epoch-stamped view of one shard's index. Obtained from
-/// [`Shard::pin`] (as a [`SnapshotRef`]); queries run against
-/// [`Snapshot::index`] without any locking, and the contents never change
-/// while the reference is held.
+/// An immutable state of one shard's index, reached through
+/// [`RouterView::snapshot`](crate::RouterView::snapshot); queries run
+/// against [`Snapshot::index`] without any locking, and the contents never
+/// change while the view is held.
 pub struct Snapshot<T: Coord, const D: usize> {
-    epoch: u64,
     index: Box<dyn DynIndex<T, D>>,
 }
 
 impl<T: Coord, const D: usize> Snapshot<T, D> {
-    /// The publish sequence number: 0 for the initial build, +1 per batch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The immutable index of this epoch.
+    /// The immutable index of this snapshot.
     pub fn index(&self) -> &dyn DynIndex<T, D> {
         &*self.index
     }
 
-    /// Number of stored points in this epoch.
+    /// Number of stored points.
     pub fn len(&self) -> usize {
         self.index.len()
     }
 
-    /// `true` if this epoch holds no points.
+    /// `true` if the snapshot holds no points.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
     }
 }
 
-/// The left-right writer's parking spot: stale pin drops signal `retired`
-/// so a writer waiting to reclaim the standby wakes immediately instead of
+/// The left-right writer's parking spot: dropped views signal `retired` so
+/// a writer waiting to reclaim a standby copy wakes at once instead of
 /// spinning.
-struct Reclaim {
+#[derive(Default)]
+pub(crate) struct Reclaim {
     gate: Mutex<()>,
     retired: Condvar,
 }
 
-/// A pinned snapshot: derefs to [`Snapshot`], clones cheaply, and releases
-/// the pin on drop. For left-right shards the drop additionally wakes a
-/// writer parked waiting to reclaim the standby copy; persistent shards
-/// skip that bookkeeping entirely (their writer never waits on readers).
-pub struct SnapshotRef<T: Coord, const D: usize> {
-    /// `Some` until dropped; optional only so `drop` can release the
-    /// snapshot *before* signalling the writer (otherwise the writer could
-    /// wake, re-check the refcount, and park again — a lost wakeup).
-    snap: Option<Arc<Snapshot<T, D>>>,
-    reclaim: Option<Arc<Reclaim>>,
-}
-
-impl<T: Coord, const D: usize> Deref for SnapshotRef<T, D> {
-    type Target = Snapshot<T, D>;
-    fn deref(&self) -> &Snapshot<T, D> {
-        self.snap.as_ref().expect("live until drop")
-    }
-}
-
-impl<T: Coord, const D: usize> Clone for SnapshotRef<T, D> {
-    fn clone(&self) -> Self {
-        OBS_PINNED.inc();
-        SnapshotRef {
-            snap: self.snap.clone(),
-            reclaim: self.reclaim.clone(),
-        }
-    }
-}
-
-impl<T: Coord, const D: usize> Drop for SnapshotRef<T, D> {
-    fn drop(&mut self) {
-        OBS_PINNED.dec();
-        let snap = self.snap.take();
-        if let Some(reclaim) = &self.reclaim {
-            drop(snap); // decrement before signalling, see field docs
-            let _gate = reclaim.gate.lock().unwrap();
-            reclaim.retired.notify_all();
-        }
-    }
-}
-
-/// One update batch: deletions, then insertions.
-type Batch<T, const D: usize> = (Vec<Point<T, D>>, Vec<Point<T, D>>);
-
-/// Writer-private state (see the module docs for the two modes).
-enum WriterSide<T: Coord, const D: usize> {
-    /// Persistent (path-copying) family: one live tree, snapshots share
-    /// its structure. No standby, no lag batch, no reader wait.
-    Persistent { live: Box<dyn DynIndex<T, D>> },
-    /// Left-right fallback: two full copies, the classic scheme.
-    LeftRight {
-        /// The copy the next batch will be applied to. Shared with stale
-        /// readers until they drop their pins; exclusively owned afterwards.
-        standby: Arc<Snapshot<T, D>>,
-        /// The batch already applied to the published copy but not yet to
-        /// `standby` (applied lazily at the start of the next publish).
-        lag: Option<Batch<T, D>>,
-    },
-}
-
-/// One serving shard: an epoch-published index (see module docs).
-pub struct Shard<T: Coord, const D: usize> {
-    published: RwLock<Arc<Snapshot<T, D>>>,
-    writer: Mutex<WriterSide<T, D>>,
-    /// Shared with every left-right pin so drops can wake a parked writer.
-    /// `None` for persistent shards — their pins carry no reclaim duty.
-    reclaim: Option<Arc<Reclaim>>,
-    region: Rect<T, D>,
-}
-
-impl<T: Coord, const D: usize> Shard<T, D> {
-    /// Build a shard over `points`. `region` is the part of space this shard
-    /// is responsible for (the router's stripe; a standalone shard passes
-    /// the whole domain) — queries use it only for pruning, so it may be
-    /// larger than the data's extent but must contain every point the shard
-    /// will ever store.
-    ///
-    /// If the factory's index supports persistent snapshots
-    /// ([`DynIndex::snapshot_dyn`]), the factory is called **once** and the
-    /// shard runs in persistent mode; otherwise it is called twice (the
-    /// left-right double buffer).
-    pub fn new(region: Rect<T, D>, factory: &IndexFactory<T, D>, points: &[Point<T, D>]) -> Self {
-        Self::with_epoch(region, factory, points, 0)
+impl Reclaim {
+    /// Wake a parked writer. Call only after releasing the snapshots that
+    /// were pinned — otherwise the writer could wake, re-check the refcount,
+    /// and park again (a lost wakeup). Never panics: views call this on
+    /// drop, and the gate guards no data a panic could leave inconsistent.
+    pub(crate) fn signal(&self) {
+        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        self.retired.notify_all();
     }
 
-    /// As [`Shard::new`], but the initial build publishes as `epoch` instead
-    /// of 0. Crash recovery uses this to seed a rebuilt shard at the
-    /// checkpoint watermark, so epoch numbers stay continuous across a
-    /// restart.
-    pub fn with_epoch(
-        region: Rect<T, D>,
-        factory: &IndexFactory<T, D>,
-        points: &[Point<T, D>],
-        epoch: u64,
-    ) -> Self {
-        let live = factory(points);
-        match live.snapshot_dyn() {
-            Some(shared) => Shard {
-                published: RwLock::new(Arc::new(Snapshot {
-                    epoch,
-                    index: shared,
-                })),
-                writer: Mutex::new(WriterSide::Persistent { live }),
-                reclaim: None,
-                region,
-            },
-            None => Shard {
-                published: RwLock::new(Arc::new(Snapshot { epoch, index: live })),
-                writer: Mutex::new(WriterSide::LeftRight {
-                    standby: Arc::new(Snapshot {
-                        epoch,
-                        index: factory(points),
-                    }),
-                    lag: None,
-                }),
-                reclaim: Some(Arc::new(Reclaim {
-                    gate: Mutex::new(()),
-                    retired: Condvar::new(),
-                })),
-                region,
-            },
-        }
-    }
-
-    /// The region this shard serves.
-    pub fn region(&self) -> &Rect<T, D> {
-        &self.region
-    }
-
-    /// `true` when this shard runs in persistent mode: one live tree,
-    /// `O(1)` structural-sharing publishes, writer never waits on readers.
-    pub fn is_persistent(&self) -> bool {
-        self.reclaim.is_none()
-    }
-
-    /// Pin the current epoch. Wait-free apart from one briefly-held read
-    /// lock (the writer's matching write lock covers only a pointer swap).
-    pub fn pin(&self) -> SnapshotRef<T, D> {
-        OBS_PINNED.inc();
-        SnapshotRef {
-            snap: Some(self.published.read().unwrap().clone()),
-            reclaim: self.reclaim.clone(),
-        }
-    }
-
-    /// The current published epoch number.
-    pub fn epoch(&self) -> u64 {
-        self.published.read().unwrap().epoch
-    }
-
-    /// Number of stored points in the current epoch.
-    pub fn len(&self) -> usize {
-        self.pin().len()
-    }
-
-    /// `true` if the current epoch holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Apply one batch (deletions first, then insertions — the `BatchDiff`
-    /// contract) and publish it as a new epoch. Returns the new epoch
-    /// number. Serialises writers via an internal lock. A persistent shard
-    /// never waits on readers; a left-right shard blocks only on readers
-    /// still pinning the snapshot from two publishes ago (bounded spin,
-    /// then parking until a pin drop signals).
-    pub fn publish(&self, delete: &[Point<T, D>], insert: &[Point<T, D>]) -> u64 {
-        let mut w = self.writer.lock().unwrap();
-        let epoch = self.published.read().unwrap().epoch + 1;
-        match &mut *w {
-            WriterSide::Persistent { live } => {
-                // Copy-on-write: only the touched spine is duplicated; the
-                // published snapshots keep sharing everything else.
-                live.batch_delete(delete);
-                live.batch_insert(insert);
-                let fresh = Arc::new(Snapshot {
-                    epoch,
-                    index: live.snapshot_dyn().expect("persistent family"),
-                });
-                *self.published.write().unwrap() = fresh;
-            }
-            WriterSide::LeftRight { standby, lag } => {
-                let lag_batch = lag.take();
-                self.reclaim_standby(standby);
-                let snap = Arc::get_mut(standby).expect("standby just became exclusive");
-
-                // Catch up with the batch the standby missed, then apply
-                // the new one.
-                if let Some((del, ins)) = &lag_batch {
-                    snap.index.batch_delete(del);
-                    snap.index.batch_insert(ins);
-                }
-                snap.index.batch_delete(delete);
-                snap.index.batch_insert(insert);
-                snap.epoch = epoch;
-
-                // Atomic publish: swap the pointer, keep the old copy as
-                // standby.
-                let fresh = standby.clone();
-                let old = std::mem::replace(&mut *self.published.write().unwrap(), fresh);
-                *standby = old;
-                *lag = Some((delete.to_vec(), insert.to_vec()));
-            }
-        }
-        epoch
-    }
-
-    /// Wait until `standby` is exclusively owned: readers of two epochs ago
-    /// may still hold it. Briefly spins (the common case — queries pin for
-    /// microseconds), then parks on the reclaim condvar that every pin drop
-    /// signals. The timeout is belt-and-braces against a drop racing ahead
-    /// of the park, not a correctness requirement.
-    fn reclaim_standby(&self, standby: &mut Arc<Snapshot<T, D>>) {
+    /// Wait until `standby` is exclusively owned: views of older epochs may
+    /// still hold it. Briefly spins (the common case — queries pin for
+    /// microseconds), then parks until a dropped view signals. The timeout
+    /// is belt-and-braces against a drop racing ahead of the park, not a
+    /// correctness requirement.
+    fn wait_exclusive<T: Coord, const D: usize>(&self, standby: &mut Arc<Snapshot<T, D>>) {
         for _ in 0..64 {
             if Arc::get_mut(standby).is_some() {
                 return;
@@ -322,236 +99,113 @@ impl<T: Coord, const D: usize> Shard<T, D> {
             }
             std::thread::yield_now();
         }
-        let reclaim = self
-            .reclaim
-            .as_ref()
-            .expect("left-right shards have a reclaim channel");
-        let mut gate = reclaim.gate.lock().unwrap();
+        let mut gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
         while Arc::get_mut(standby).is_none() {
-            let (g, _timeout) = reclaim
+            gate = self
                 .retired
                 .wait_timeout(gate, Duration::from_millis(1))
-                .unwrap();
-            gate = g;
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use psi::registry::{self, BuildOptions};
-    use psi_geometry::PointI;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+/// One update batch: deletions, then insertions.
+type Batch<T, const D: usize> = (Vec<Point<T, D>>, Vec<Point<T, D>>);
 
-    fn factory() -> IndexFactory<i64, 2> {
-        named_factory("pkd")
-    }
+/// Writer-private state of one shard (see the module docs for the modes).
+pub(crate) enum Shard<T: Coord, const D: usize> {
+    /// Persistent (path-copying) family: one live tree, snapshots share
+    /// its structure. No standby, no lag batch, no reader wait.
+    Persistent { live: Box<dyn DynIndex<T, D>> },
+    /// Left-right fallback: two full copies, the classic scheme.
+    LeftRight {
+        /// The copy the router's current view holds.
+        published: Arc<Snapshot<T, D>>,
+        /// The copy the next batch will be applied to. Shared with views of
+        /// older epochs until they drop; exclusively owned afterwards.
+        standby: Arc<Snapshot<T, D>>,
+        /// The batch already applied to `published` but not yet to
+        /// `standby` (applied lazily at the start of the next publish).
+        lag: Option<Batch<T, D>>,
+    },
+}
 
-    fn named_factory(name: &'static str) -> IndexFactory<i64, 2> {
-        Arc::new(move |pts: &[PointI<2>]| {
-            registry::create::<2>(name, pts, &BuildOptions::default()).unwrap()
-        })
-    }
-
-    fn pts(range: std::ops::Range<i64>) -> Vec<PointI<2>> {
-        range.map(|i| Point::new([i, i * 2])).collect()
-    }
-
-    fn world() -> Rect<i64, 2> {
-        Rect::from_corners(Point::new([i64::MIN; 2]), Point::new([i64::MAX; 2]))
-    }
-
-    #[test]
-    fn publish_bumps_epochs_and_pins_are_stable() {
-        // Both writer modes must satisfy the same epoch contract.
-        for family in ["pkd", "cpam-h"] {
-            let shard = Shard::new(world(), &named_factory(family), &pts(0..100));
-            assert_eq!(shard.is_persistent(), family == "cpam-h");
-            let e0 = shard.pin();
-            assert_eq!(e0.epoch(), 0);
-            assert_eq!(e0.len(), 100);
-
-            let epoch = shard.publish(&pts(0..10), &pts(100..130));
-            assert_eq!(epoch, 1);
-            // The old pin still sees epoch 0 in full.
-            assert_eq!(e0.len(), 100);
-            assert_eq!(e0.index().range_count(&world()), 100);
-            // A fresh pin sees the whole batch.
-            let e1 = shard.pin();
-            assert_eq!(e1.epoch(), 1);
-            assert_eq!(e1.len(), 120);
-            assert_eq!(e1.index().range_count(&world()), 120);
+impl<T: Coord, const D: usize> Shard<T, D> {
+    /// Build a shard over `points` and return it with its initial snapshot.
+    /// If the factory's index supports persistent snapshots
+    /// ([`DynIndex::snapshot_dyn`]), the factory is called **once** and the
+    /// shard runs in persistent mode; otherwise it is called twice (the
+    /// left-right double buffer).
+    pub(crate) fn new(
+        factory: &IndexFactory<T, D>,
+        points: &[Point<T, D>],
+    ) -> (Self, Arc<Snapshot<T, D>>) {
+        let live = factory(points);
+        match live.snapshot_dyn() {
+            Some(index) => (Shard::Persistent { live }, Arc::new(Snapshot { index })),
+            None => {
+                let published = Arc::new(Snapshot { index: live });
+                let shard = Shard::LeftRight {
+                    published: Arc::clone(&published),
+                    standby: Arc::new(Snapshot {
+                        index: factory(points),
+                    }),
+                    lag: None,
+                };
+                (shard, published)
+            }
         }
     }
 
-    #[test]
-    fn lag_catchup_keeps_both_copies_identical() {
-        let shard = Shard::new(world(), &factory(), &pts(0..50));
-        // Several publishes: the standby is always one batch behind and
-        // must catch up correctly (drop pins so the writer can reclaim).
-        for round in 0..5i64 {
-            let del = pts(round * 5..round * 5 + 5);
-            let ins = pts(100 + round * 7..100 + round * 7 + 7);
-            let epoch = shard.publish(&del, &ins);
-            assert_eq!(epoch, round as u64 + 1);
-            let pin = shard.pin();
-            assert_eq!(pin.epoch(), round as u64 + 1);
-            assert_eq!(
-                pin.len(),
-                50 - 5 * (round as usize + 1) + 7 * (round as usize + 1)
-            );
-        }
+    /// `true` in persistent mode: one live tree, `O(1)` structural-sharing
+    /// snapshots, writer never waits on readers.
+    pub(crate) fn is_persistent(&self) -> bool {
+        matches!(self, Shard::Persistent { .. })
     }
 
-    #[test]
-    fn concurrent_readers_see_whole_epochs_only() {
-        for family in ["pkd", "cpam-h"] {
-            let shard = Arc::new(Shard::new(world(), &named_factory(family), &pts(0..200)));
-            // Epoch e has exactly 200 + 10e points (insert-only batches), so
-            // a torn read would show a size matching no epoch.
-            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let readers: Vec<_> = (0..3)
-                .map(|_| {
-                    let shard = Arc::clone(&shard);
-                    let stop = Arc::clone(&stop);
-                    std::thread::spawn(move || {
-                        let mut seen_epochs = Vec::new();
-                        let mut last = 0u64;
-                        // Check `stop` *before* the observation, so even a
-                        // reader first scheduled after the writer finished
-                        // still makes one (final-epoch) observation.
-                        loop {
-                            let finishing = stop.load(std::sync::atomic::Ordering::Acquire);
-                            let pin = shard.pin();
-                            let e = pin.epoch();
-                            assert!(e >= last, "epochs must be monotonic per reader");
-                            last = e;
-                            assert_eq!(
-                                pin.index().range_count(&world()) as u64,
-                                200 + 10 * e,
-                                "reader observed a torn epoch"
-                            );
-                            seen_epochs.push(e);
-                            if finishing {
-                                break;
-                            }
-                        }
-                        seen_epochs
-                    })
+    /// Apply one sub-batch (deletions first, then insertions — the
+    /// `BatchDiff` contract) and return the shard's next snapshot. A
+    /// persistent shard never waits on readers; a left-right shard first
+    /// waits on `reclaim` until no view still holds its standby copy.
+    pub(crate) fn publish(
+        &mut self,
+        delete: &[Point<T, D>],
+        insert: &[Point<T, D>],
+        reclaim: Option<&Reclaim>,
+    ) -> Arc<Snapshot<T, D>> {
+        match self {
+            Shard::Persistent { live } => {
+                // Copy-on-write: only the touched spine is duplicated; older
+                // snapshots keep sharing everything else.
+                live.batch_delete(delete);
+                live.batch_insert(insert);
+                Arc::new(Snapshot {
+                    index: live.snapshot_dyn().expect("persistent family"),
                 })
-                .collect();
-            for round in 0..20u64 {
-                let ins = pts(1_000 + (round as i64) * 10..1_000 + (round as i64) * 10 + 10);
-                shard.publish(&[], &ins);
             }
-            stop.store(true, std::sync::atomic::Ordering::Release);
-            for r in readers {
-                let seen = r.join().unwrap();
-                assert!(!seen.is_empty());
-                // The observation made after `stop` was set sees the final
-                // epoch.
-                assert_eq!(*seen.last().unwrap(), 20);
+            Shard::LeftRight {
+                published,
+                standby,
+                lag,
+            } => {
+                reclaim
+                    .expect("left-right shards have a reclaim channel")
+                    .wait_exclusive(standby);
+                let snap = Arc::get_mut(standby).expect("standby just became exclusive");
+                // Catch up with the batch the standby missed, then apply
+                // the new one.
+                if let Some((del, ins)) = lag.take() {
+                    snap.index.batch_delete(&del);
+                    snap.index.batch_insert(&ins);
+                }
+                snap.index.batch_delete(delete);
+                snap.index.batch_insert(insert);
+                // The old published copy becomes the next standby.
+                std::mem::swap(published, standby);
+                *lag = Some((delete.to_vec(), insert.to_vec()));
+                Arc::clone(published)
             }
-            assert_eq!(shard.epoch(), 20);
-            assert_eq!(shard.len(), 400);
         }
-    }
-
-    #[test]
-    fn persistent_shards_build_one_tree_left_right_builds_two() {
-        let calls = Arc::new(AtomicUsize::new(0));
-        let counting = |name: &'static str, calls: Arc<AtomicUsize>| -> IndexFactory<i64, 2> {
-            Arc::new(move |pts: &[PointI<2>]| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                registry::create::<2>(name, pts, &BuildOptions::default()).unwrap()
-            })
-        };
-
-        let shard = Shard::new(
-            world(),
-            &counting("cpam-h", Arc::clone(&calls)),
-            &pts(0..64),
-        );
-        assert!(shard.is_persistent());
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "persistent: one tree");
-
-        calls.store(0, Ordering::Relaxed);
-        let shard = Shard::new(world(), &counting("pkd", Arc::clone(&calls)), &pts(0..64));
-        assert!(!shard.is_persistent());
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            2,
-            "left-right: double buffer"
-        );
-    }
-
-    #[test]
-    fn persistent_publish_copies_a_spine_not_the_tree() {
-        use psi_parutils::stats::counters;
-        // A full copy of n points costs >= n/phi leaf nodes; a CoW publish
-        // of a tiny batch touches only the spine. The NODES_COPIED counter
-        // is process-global, so the measurement uses the scoped same-thread
-        // capture: these 8-point batches sit far below the update paths'
-        // parallel grain, so every copy happens on this thread and the
-        // captured delta is exact — concurrent tests no longer interfere.
-        let n = 60_000i64;
-        let shard = Shard::new(world(), &named_factory("cpam-h"), &pts(0..n));
-        assert!(shard.is_persistent());
-        let pins: Vec<_> = (0..4).map(|_| shard.pin()).collect(); // live snapshots forcing CoW
-        let ((), copied) = counters::NODES_COPIED.scoped(|| {
-            for round in 0..10i64 {
-                shard.publish(&[], &pts(n + round * 8..n + round * 8 + 8));
-            }
-        });
-        // 10 publishes x 8 points over n=60k: spine copies only. A single
-        // full copy would clone >= 1_500 leaves; stay well under that.
-        assert!(
-            copied < 1_200,
-            "publish copied {copied} nodes - that smells like a full copy"
-        );
-        drop(pins);
-    }
-
-    #[test]
-    fn persistent_writer_never_waits_on_readers() {
-        // Hold pins of *every* epoch while publishing: a left-right writer
-        // would deadlock here (the stale pins never drop); the persistent
-        // writer sails through.
-        let shard = Shard::new(world(), &named_factory("cpam-z"), &pts(0..100));
-        assert!(shard.is_persistent());
-        let mut pins = vec![shard.pin()];
-        for round in 0..8i64 {
-            shard.publish(&[], &pts(200 + round * 3..200 + round * 3 + 3));
-            pins.push(shard.pin());
-        }
-        // Every historical epoch is still fully queryable.
-        for (e, pin) in pins.iter().enumerate() {
-            assert_eq!(pin.epoch(), e as u64);
-            assert_eq!(pin.len(), 100 + 3 * e);
-            assert_eq!(pin.index().range_count(&world()), 100 + 3 * e);
-        }
-    }
-
-    #[test]
-    fn left_right_writer_parks_and_wakes_on_pin_drop() {
-        // A stale pin held longer than the spin budget forces the writer
-        // onto the condvar path; dropping the pin must wake it promptly.
-        let shard = Arc::new(Shard::new(world(), &factory(), &pts(0..100)));
-        assert!(!shard.is_persistent());
-        shard.publish(&[], &pts(100..110)); // epoch 1; standby = epoch-0 copy
-        let stale = shard.pin(); // pins epoch 1 (next publish's standby)
-        shard.publish(&[], &pts(110..120)); // epoch 2; standby = epoch-1 copy, pinned by `stale`
-
-        let writer = {
-            let shard = Arc::clone(&shard);
-            std::thread::spawn(move || shard.publish(&[], &pts(120..130)))
-        };
-        // Give the writer time to exhaust its spin budget and park.
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!writer.is_finished(), "writer must wait for the stale pin");
-        drop(stale);
-        assert_eq!(writer.join().unwrap(), 3);
-        assert_eq!(shard.len(), 130);
     }
 }

@@ -18,8 +18,7 @@
 //! is the **global** router epoch the batch produced. The log stores whole
 //! batches, not per-shard splits: stripe routing is a pure function of the
 //! universe cuts recorded in the paired checkpoint, so replaying the global
-//! sequence reproduces every per-shard epoch (including the skipped bumps
-//! for shards whose sub-batch was empty) exactly.
+//! sequence reproduces every shard's state at every epoch exactly.
 //!
 //! A segment file starts with a 16-byte header — magic, format version,
 //! coordinate tag, dimensionality, and the **base epoch** (the checkpoint

@@ -1,16 +1,17 @@
 //! Snapshot-consistency battery for the `psi-server` subsystem: concurrent
 //! readers must only ever observe **whole published epochs**.
 //!
-//! The scheme: build a shard (or a sharded router) and precompute, offline,
-//! the exact answer checksum of a fixed query mix for *every* epoch — the
-//! initial build plus each update batch applied in order (the offline
-//! replica replays the same op sequence the shard applies to both of its
-//! copies, so answers match bit-for-bit, ties included). Then a writer
-//! thread publishes those same batches while reader threads continuously
-//! pin snapshots and recompute the checksum: every observed answer set must
-//! equal the golden checksum of the *snapshot's own epoch* — a torn batch,
-//! a lost update, or a half-swapped pointer produces a checksum matching no
-//! epoch and fails immediately. Readers also assert epoch monotonicity.
+//! The scheme: build a router (one shard, or several stripes) and
+//! precompute, offline, the exact answer checksum of a fixed query mix for
+//! *every* epoch — the initial build plus each update batch applied in order
+//! (the offline replica replays the same op sequence the shard applies to
+//! both of its copies, so answers match bit-for-bit, ties included). Then a
+//! writer thread publishes those same batches while reader threads
+//! continuously pin views and recompute the checksum: every observed answer
+//! set must equal the golden checksum of the *view's own epoch* — a torn
+//! batch, a lost update, or a half-swapped pointer produces a checksum
+//! matching no epoch and fails immediately. Readers also assert epoch
+//! monotonicity.
 //!
 //! The battery runs for three-plus registry families in both `i64` and
 //! `f64` (the f64 set includes an SFC family served through the quantising
@@ -20,7 +21,7 @@
 
 use psi::registry::{self, BuildOptions, DynIndex};
 use psi::{Point, PointI, Rect};
-use psi_server::{IndexFactory, Router, ServeCoord, Shard};
+use psi_server::{IndexFactory, Router, ServeConfig, ServeCoord};
 use psi_workloads as workloads;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -102,9 +103,9 @@ fn golden_epochs<T: CheckCoord, const D: usize>(
     goldens
 }
 
-/// The core battery: writer publishes `batches` through the shard while
-/// `READERS` threads pin snapshots and verify every observed answer
-/// checksum against the golden of the snapshot's own epoch.
+/// The core battery: writer publishes `batches` through a one-shard router
+/// while `READERS` threads pin views and verify every observed answer
+/// checksum against the golden of the view's own epoch.
 #[allow(clippy::too_many_arguments)]
 fn shard_atomicity<T: CheckCoord, const D: usize>(
     label: &str,
@@ -120,14 +121,20 @@ fn shard_atomicity<T: CheckCoord, const D: usize>(
     let goldens = Arc::new(golden_epochs(
         &factory, &initial, &batches, &queries, &rects, k,
     ));
-    let shard = Arc::new(Shard::new(region, &factory, &initial));
+    let router = Arc::new(Router::new(
+        &factory,
+        &initial,
+        &region,
+        &ServeConfig::default(),
+        0,
+    ));
     let done = Arc::new(AtomicBool::new(false));
 
     let queries = Arc::new(queries);
     let rects = Arc::new(rects);
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
-            let shard = Arc::clone(&shard);
+            let router = Arc::clone(&router);
             let goldens = Arc::clone(&goldens);
             let done = Arc::clone(&done);
             let queries = Arc::clone(&queries);
@@ -139,14 +146,14 @@ fn shard_atomicity<T: CheckCoord, const D: usize>(
                 let mut distinct = std::collections::BTreeSet::new();
                 loop {
                     let finishing = done.load(Ordering::Acquire);
-                    let pin = shard.pin();
-                    let epoch = pin.epoch();
+                    let view = router.pin();
+                    let epoch = view.epoch();
                     assert!(
                         epoch >= last_epoch,
                         "{label}: reader saw epoch {epoch} after {last_epoch}"
                     );
                     last_epoch = epoch;
-                    let got = answers_checksum(pin.index(), &queries, &rects, k);
+                    let got = answers_checksum(view.snapshot(0).index(), &queries, &rects, k);
                     assert_eq!(
                         got, goldens[epoch as usize],
                         "{label}: reader observed a torn epoch {epoch} \
@@ -164,7 +171,7 @@ fn shard_atomicity<T: CheckCoord, const D: usize>(
         .collect();
 
     for (del, ins) in &batches {
-        shard.publish(del, ins);
+        router.publish(del, ins);
         // Give readers a window to pin this epoch before the next publish.
         std::thread::sleep(std::time::Duration::from_micros(300));
     }
@@ -178,7 +185,7 @@ fn shard_atomicity<T: CheckCoord, const D: usize>(
             "{label}: final epoch never observed"
         );
     }
-    assert_eq!(shard.epoch(), batches.len() as u64, "{label}");
+    assert_eq!(router.epoch(), batches.len() as u64, "{label}");
 }
 
 /// Build the move-style batch list: each batch deletes a slice of the live
@@ -299,8 +306,9 @@ fn epoch_atomicity_four_thread_pool() {
 }
 
 /// Sharded variant: two stripes, batches and queries confined to one stripe
-/// each, so a per-shard snapshot's answers must match that shard's own
-/// epoch golden — across shards, views are per-shard consistent.
+/// each, so a shard's snapshot in a view of global epoch `e` must answer
+/// like that stripe's replica after the stripe's batches among the first
+/// `e`.
 #[test]
 fn router_stripe_epochs_are_atomic() {
     let max = 1_000_000i64;
@@ -308,7 +316,11 @@ fn router_stripe_epochs_are_atomic() {
     let universe = workloads::universe::<2>(max);
     let data = workloads::uniform::<2>(2_000, max, 5);
     let factory = i64_factory("spac-h", None);
-    let router = Arc::new(Router::new(&factory, &data, &universe, 2));
+    let cfg = ServeConfig {
+        shards: 2,
+        ..Default::default()
+    };
+    let router = Arc::new(Router::new(&factory, &data, &universe, &cfg, 0));
 
     // Stripe-confined query mixes and batch streams.
     let stripe_pts = |lo: i64, hi: i64, n: usize, seed: u64| -> Vec<PointI<2>> {
@@ -345,7 +357,9 @@ fn router_stripe_epochs_are_atomic() {
         })
         .collect();
 
-    // Offline per-shard goldens: shard s sees only stripe-s batches.
+    // Offline per-shard goldens: shard s sees only stripe-s batches, so its
+    // golden index at global epoch e is the count of stripe-s batches among
+    // the first e.
     let k = 5;
     let mut goldens: Vec<Vec<u64>> = Vec::new();
     for (stripe, (qs, rects)) in mixes.iter().enumerate() {
@@ -368,21 +382,24 @@ fn router_stripe_epochs_are_atomic() {
     let done = Arc::new(AtomicBool::new(false));
     let mixes = Arc::new(mixes);
     let goldens = Arc::new(goldens);
+    let stripes: Arc<Vec<usize>> = Arc::new(batches.iter().map(|(s, _)| *s).collect());
     let readers: Vec<_> = (0..2)
         .map(|_| {
             let router = Arc::clone(&router);
             let done = Arc::clone(&done);
             let mixes = Arc::clone(&mixes);
             let goldens = Arc::clone(&goldens);
+            let stripes = Arc::clone(&stripes);
             std::thread::spawn(move || loop {
                 let finishing = done.load(Ordering::Acquire);
                 let view = router.pin();
+                let epoch = view.epoch() as usize;
                 for (stripe, (qs, rects)) in mixes.iter().enumerate() {
                     let got = answers_checksum(view.snapshot(stripe).index(), qs, rects, k);
-                    let epoch = view.snapshot(stripe).epoch() as usize;
+                    let applied = stripes[..epoch].iter().filter(|&&s| s == stripe).count();
                     assert_eq!(
-                        got, goldens[stripe][epoch],
-                        "stripe {stripe} epoch {epoch} torn"
+                        got, goldens[stripe][applied],
+                        "stripe {stripe} at epoch {epoch} torn"
                     );
                 }
                 if finishing {
@@ -400,8 +417,154 @@ fn router_stripe_epochs_are_atomic() {
     for r in readers {
         r.join().expect("reader thread");
     }
-    assert_eq!(router.pin().epochs(), vec![6, 6]);
+    assert_eq!(router.epoch(), 12);
     assert_eq!(router.len(), data.len() + 12 * 50);
+}
+
+/// Checksum of a query mix over a whole view (or its single-index replica)
+/// that does not depend on which shard held a point: kNN answers fold their
+/// distances only, since a best-`k` merge across shards may break distance
+/// ties differently than one index over all points.
+fn mix_checksum(
+    queries: &[PointI<2>],
+    knn: Vec<Vec<PointI<2>>>,
+    counts: Vec<usize>,
+    lists: Vec<Vec<PointI<2>>>,
+) -> u64 {
+    let mut h = FNV_OFFSET;
+    for (q, ans) in queries.iter().zip(knn) {
+        h = fold(h, ans.len() as u64);
+        for p in &ans {
+            h = fold(h, q.dist_sq(p) as u64);
+        }
+    }
+    for c in counts {
+        h = fold(h, c as u64);
+    }
+    for mut list in lists {
+        list.sort_unstable();
+        h = fold(h, list.len() as u64);
+        for p in &list {
+            for c in p.coords {
+                h = fold(h, c.bits());
+            }
+        }
+    }
+    h
+}
+
+/// Cross-stripe atomicity: every batch carries 100 points across the cut
+/// between two shards, one way and then back. A view that showed one
+/// shard's half of a batch without the other's would hold the wrong number
+/// of points, so readers assert that the count is conserved, and that the
+/// answer checksum equals the offline golden of the view's global epoch.
+fn cut_crossing_battery(family: &'static str) {
+    const ROUNDS: usize = 80;
+    let max = 1_000_000i64;
+    let universe = workloads::universe::<2>(max);
+    let data = workloads::uniform::<2>(4_000, max, 51);
+    let queries = workloads::ind_queries(&data, 10, 52);
+    let rects = workloads::range_queries(&data, max, 40, 6, 53);
+    let k = 6;
+    let factory = i64_factory(family, None);
+    let cfg = ServeConfig {
+        shards: 2,
+        ..Default::default()
+    };
+    let router = Arc::new(Router::new(&factory, &data, &universe, &cfg, 0));
+
+    // The movers: 100 points left of the cut and their images half the
+    // domain to the right.
+    let left: Vec<PointI<2>> = data
+        .iter()
+        .copied()
+        .filter(|p| router.shard_of(p) == 0)
+        .take(100)
+        .collect();
+    let right: Vec<PointI<2>> = left
+        .iter()
+        .map(|p| Point::new([p.coords[0] + max / 2, p.coords[1]]))
+        .collect();
+    assert!(right.iter().all(|p| router.shard_of(p) == 1));
+    let batches: Vec<Batch<i64, 2>> = (0..ROUNDS)
+        .map(|r| match r % 2 {
+            0 => (left.clone(), right.clone()),
+            _ => (right.clone(), left.clone()),
+        })
+        .collect();
+
+    // Offline goldens from one index over all points.
+    let mut replica = factory(&data);
+    let mut goldens = Vec::with_capacity(ROUNDS + 1);
+    for r in 0..=ROUNDS {
+        if r > 0 {
+            let (del, ins) = &batches[r - 1];
+            replica.batch_delete(del);
+            replica.batch_insert(ins);
+        }
+        goldens.push(mix_checksum(
+            &queries,
+            replica.knn_batch(&queries, k),
+            replica.range_count_batch(&rects),
+            replica.range_list_batch(&rects),
+        ));
+    }
+
+    let done = Arc::new(AtomicBool::new(false));
+    let goldens = Arc::new(goldens);
+    let queries = Arc::new(queries);
+    let rects = Arc::new(rects);
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let router = Arc::clone(&router);
+            let done = Arc::clone(&done);
+            let goldens = Arc::clone(&goldens);
+            let queries = Arc::clone(&queries);
+            let rects = Arc::clone(&rects);
+            std::thread::spawn(move || {
+                let mut last_epoch = 0;
+                loop {
+                    let finishing = done.load(Ordering::Acquire);
+                    let view = router.pin();
+                    let epoch = view.epoch();
+                    assert!(epoch >= last_epoch, "{family}: epoch went backwards");
+                    last_epoch = epoch;
+                    assert_eq!(
+                        view.len(),
+                        4_000,
+                        "{family}: view of epoch {epoch} shows part of a cut-crossing batch"
+                    );
+                    let got = mix_checksum(
+                        &queries,
+                        view.knn_batch(&queries, k),
+                        view.range_count_batch(&rects),
+                        view.range_list_batch(&rects),
+                    );
+                    assert_eq!(
+                        got, goldens[epoch as usize],
+                        "{family}: answers at epoch {epoch} differ from the offline golden"
+                    );
+                    if finishing {
+                        return last_epoch;
+                    }
+                }
+            })
+        })
+        .collect();
+    for (del, ins) in &batches {
+        router.publish(del, ins);
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    done.store(true, Ordering::Release);
+    for r in readers {
+        assert_eq!(r.join().expect("reader thread"), ROUNDS as u64);
+    }
+}
+
+#[test]
+fn cut_crossing_moves_never_tear() {
+    cut_crossing_battery("spac-h");
+    cut_crossing_battery("p-orth");
 }
 
 /// Time-travel goldens: a persistent (CPAM) router retains a bounded window
@@ -420,7 +583,11 @@ fn persistent_time_travel_matches_per_epoch_goldens() {
 
     let factory = i64_factory("cpam-h", Some(32));
     let goldens = golden_epochs(&factory, &data, &batches, &queries, &rects, k);
-    let router = Router::with_history(&factory, &data, &universe, 1, 8);
+    let cfg = ServeConfig {
+        epoch_history: 8,
+        ..Default::default()
+    };
+    let router = Router::new(&factory, &data, &universe, &cfg, 0);
     assert!(router.is_persistent(), "cpam-h serves persistent snapshots");
     for (del, ins) in &batches {
         router.publish(del, ins);
