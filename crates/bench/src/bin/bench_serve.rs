@@ -109,18 +109,21 @@ fn run_cell(
     }
 }
 
-/// Publish-latency comparison: how long one epoch publication takes under
-/// the left-right double-copy protocol versus persistent CoW snapshots.
-/// Left-right shards rebuild/patch a standby tree and wait out straggling
-/// readers; persistent shards apply the batch once and swap an O(log n)
-/// path-copied root.
+/// Publish latency: how long one epoch publication takes — the batch
+/// applied in place to the live index, copying only the paths it reaches
+/// because a reader's pin still shares them, then an O(1) snapshot swap.
 struct PublishCell {
     family: &'static str,
-    mode: &'static str,
     rounds: usize,
+    p50_ms: f64,
     mean_ms: f64,
-    p99_ms: f64,
+    /// Only from [`P99_MIN_ROUNDS`] rounds up: below that the p99 is one of
+    /// the few largest samples and moves severalfold from run to run.
+    p99_ms: Option<f64>,
 }
+
+/// Fewest rounds a publish-latency p99 is reported from.
+const P99_MIN_ROUNDS: usize = 1_000;
 
 fn publish_latency_cell(
     family: &'static str,
@@ -139,20 +142,12 @@ fn publish_latency_cell(
         ..Default::default()
     };
     let router = Router::new(&factory, data, &universe, &cfg, 0);
-    let mode = if router.is_persistent() {
-        "persistent"
-    } else {
-        "left-right"
-    };
     let mut lat_ms: Vec<f64> = Vec::with_capacity(rounds);
     for r in 0..rounds {
         let span = &data[(r * batch) % (data.len() - batch)..][..batch];
         let moved: Vec<PointI<2>> = span.to_vec();
         // A reader pins the pre-publish epoch for the duration of the
-        // publish, as a concurrent query would. The pin is re-taken each
-        // round: holding one pin across many publishes would (by design)
-        // block a left-right writer forever — the protocol this bench
-        // compares against — and on this single thread that is a deadlock.
+        // publish, as a concurrent query would, so the publish path-copies.
         let pin = router.pin();
         let t = Instant::now();
         router.publish(&moved, &moved);
@@ -160,14 +155,12 @@ fn publish_latency_cell(
         drop(pin);
     }
     lat_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mean_ms = lat_ms.iter().sum::<f64>() / rounds as f64;
-    let p99_ms = lat_ms[(rounds * 99 / 100).min(rounds - 1)];
     PublishCell {
         family,
-        mode,
         rounds,
-        mean_ms,
-        p99_ms,
+        p50_ms: lat_ms[rounds / 2],
+        mean_ms: lat_ms.iter().sum::<f64>() / rounds as f64,
+        p99_ms: (rounds >= P99_MIN_ROUNDS).then(|| lat_ms[rounds * 99 / 100]),
     }
 }
 
@@ -370,21 +363,23 @@ fn main() {
         ));
     }
 
-    // Publish-latency comparison: one left-right family against one
-    // persistent (CoW snapshot) family, same data and batch size.
-    let publish_rounds = if smoke { 40 } else { 200 };
+    // Publish latency per family, same data and batch size.
+    let publish_rounds = if smoke { 40 } else { P99_MIN_ROUNDS };
     let publish_batch = 200.min(n / 4);
     let mut publish_cells: Vec<String> = Vec::new();
-    for family in ["pkd", "cpam-h"] {
+    for family in ["pkd", "p-orth", "cpam-h"] {
         let cell = publish_latency_cell(family, &data, shards, publish_batch, publish_rounds);
+        let p99 = cell
+            .p99_ms
+            .map_or("null".to_string(), |v| format!("{v:.4}"));
         println!(
-            "publish  {:<8} mode={:<10} rounds={:<4} mean={:.3}ms p99={:.3}ms",
-            cell.family, cell.mode, cell.rounds, cell.mean_ms, cell.p99_ms
+            "publish  {:<8} rounds={:<4} p50_ms={:.3} mean_ms={:.3} p99_ms={p99}",
+            cell.family, cell.rounds, cell.p50_ms, cell.mean_ms
         );
         publish_cells.push(format!(
-            "    {{\"family\": \"{}\", \"mode\": \"{}\", \"batch\": {}, \"rounds\": {}, \
-             \"mean_ms\": {:.4}, \"p99_ms\": {:.4}}}",
-            cell.family, cell.mode, publish_batch, cell.rounds, cell.mean_ms, cell.p99_ms
+            "    {{\"family\": \"{}\", \"batch\": {}, \"rounds\": {}, \
+             \"p50_ms\": {:.4}, \"mean_ms\": {:.4}, \"p99_ms\": {p99}}}",
+            cell.family, publish_batch, cell.rounds, cell.p50_ms, cell.mean_ms
         ));
     }
 
@@ -433,8 +428,8 @@ fn main() {
         "{{\n  \"bench\": \"serve_closed_loop\",\n  {},\n  \"n\": {},\n  \
          \"ops_per_client\": {},\n  \"shards\": {},\n  \"coalesce_max_batch\": {},\n  \"k\": {},\n  \
          \"note\": \"closed-loop clients over psi-server (epoch snapshots + coalescer + shard router); \
-         move batches conserve the live count (checked); publish_latency compares the left-right double-copy protocol against \
-         persistent CoW snapshot publication, a reader pin re-taken around each publish; \
+         move batches conserve the live count (checked); publish_latency times one path-copying publish per round, \
+         a reader pin held across each (p99 only from 1000+ rounds, else null); \
          fsync_sweep pushes identical move batches through a durable server per FsyncPolicy, \
          latencies read from the WAL's psi-obs histograms\",\n  \
          \"publish_latency\": [\n{}\n  ],\n  \"fsync_sweep\": [\n{}\n  ],\n  \"families\": [\n{}\n  ]\n}}\n",

@@ -228,9 +228,8 @@ pub struct ServeSpec {
     pub write_every_ms: u64,
     /// Maximum queries the coalescer folds into one batched flush.
     pub coalesce: usize,
-    /// Published epochs retained for "as of epoch N" time-travel queries.
-    /// Only takes effect when every shard serves a snapshot-capable
-    /// (persistent) family; left-right families keep no history.
+    /// Published epochs retained for "as of epoch N" time-travel queries;
+    /// every family keeps them as path-copied snapshots.
     pub epoch_history: usize,
     /// Byte budget for the epoch history (`0` bounds by count only); see
     /// `ServeConfig::epoch_history_bytes`.

@@ -239,9 +239,9 @@ fn serve_typed<T: ServeCoord + WireCoord, const D: usize>(
         }
     }
     .map_err(|e| format!("serve phase: {e}"))?;
-    // Time-travel sanity probe: when the shards are persistent, the newest
-    // retained epoch must agree with the live view — drift here means a
-    // publish escaped the history log.
+    // Time-travel sanity probe: when history is kept, the newest retained
+    // epoch must agree with the live view — drift here means a publish
+    // escaped the history log.
     let epoch = server.epoch();
     if let Some(past) = server.view_at(epoch) {
         let live = server.view().len();
@@ -332,8 +332,8 @@ coalesce = 16
 
     #[test]
     fn persistent_family_serves_with_epoch_history() {
-        // A snapshot-capable family exercises the persistent publish path
-        // and the time-travel sanity probe in `serve_typed`.
+        // An explicit history window exercises the time-travel sanity
+        // probe in `serve_typed`.
         let text = SERVE
             .replace("families = spac-h, brute-force", "families = cpam-h")
             .replace("coalesce = 16", "coalesce = 16\nepoch-history = 4");

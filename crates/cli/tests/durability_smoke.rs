@@ -6,9 +6,9 @@
 //! consistent epoch with a logged warning, never a panic.
 //!
 //! Everything runs through the real executable and real TCP, mirroring
-//! `netd_smoke.rs`; the only i64 2-d family probed is `cpam-h` because only
-//! persistent families retain epoch history (`epoch_bounds` is the probe
-//! that tells us which prefix of the submitted batches survived the kill).
+//! `netd_smoke.rs`; the i64 2-d family probed is `cpam-h`, whose retained
+//! epoch history (`epoch_bounds`) is the probe that tells us which prefix
+//! of the submitted batches survived the kill.
 
 use psi::registry::{self, BuildOptions, DynIndex};
 use psi_geometry::{Point, PointI, Rect};

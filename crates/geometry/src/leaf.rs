@@ -43,6 +43,7 @@ use crate::coord::Coord;
 use crate::knn::KnnHeap;
 use crate::point::Point;
 use crate::rect::Rect;
+use std::sync::Arc;
 
 /// Points per range-filter flag block (sizes the stack flag buffer).
 const MASK_BLOCK: usize = 64;
@@ -52,16 +53,21 @@ const MASK_BLOCK: usize = 64;
 ///
 /// Stored plane-major: coordinate `d` of point `i` lives at
 /// `buf[d * len + i]` — a single allocation regardless of `D`.
+///
+/// A leaf is immutable once built (updates replace it with a new one), so
+/// its planes are `Arc`-shared: a clone — what a snapshotting tree does when
+/// it copies a node array holding this leaf — bumps two reference counts and
+/// copies no coordinates.
 #[derive(Clone, Debug)]
 pub struct LeafSoA<T: Coord, const D: usize> {
-    buf: Box<[T]>,
+    buf: Arc<[T]>,
     /// The coordinate planes mapped through [`Coord::total_key`], same
     /// plane-major layout as `buf`. Precomputing the order-isomorphic integer
     /// keys at build time turns every range test into plain `i64` compares —
     /// no per-query conversion in the hot loops. (For `i64` coordinates the
     /// key plane duplicates `buf`; leaves are small, and keeping the kernels
     /// monomorphic is worth the few hundred bytes.)
-    keys: Box<[i64]>,
+    keys: Arc<[i64]>,
     len: usize,
     bbox: Rect<T, D>,
     /// `bbox` corners as [`Coord::total_key`]s: the prefilter in the range
@@ -73,20 +79,13 @@ pub struct LeafSoA<T: Coord, const D: usize> {
 impl<T: Coord, const D: usize> LeafSoA<T, D> {
     /// Transpose a point slice into planes, preserving order.
     pub fn from_points(points: &[Point<T, D>]) -> Self {
-        let n = points.len();
-        let mut buf = Vec::with_capacity(n * D);
-        let mut keys = Vec::with_capacity(n * D);
-        for d in 0..D {
-            buf.extend(points.iter().map(|p| p.coords[d]));
-            keys.extend(points.iter().map(|p| p.coords[d].total_key()));
-        }
         let bbox = Rect::bounding(points);
         let key_lo = std::array::from_fn(|d| bbox.lo.coords[d].total_key());
         let key_hi = std::array::from_fn(|d| bbox.hi.coords[d].total_key());
         LeafSoA {
-            buf: buf.into_boxed_slice(),
-            keys: keys.into_boxed_slice(),
-            len: n,
+            buf: planes(points, |c| c),
+            keys: planes(points, T::total_key),
+            len: points.len(),
             bbox,
             key_lo,
             key_hi,
@@ -400,6 +399,28 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
             i += 1;
         }
     }
+}
+
+/// `points` transposed plane-major through `f`, written straight into one
+/// shared allocation (no intermediate `Vec` to copy from), one unit-stride
+/// pass per plane.
+fn planes<T: Coord, U, const D: usize>(points: &[Point<T, D>], f: impl Fn(T) -> U) -> Arc<[U]> {
+    let n = points.len();
+    if n == 0 {
+        // Orth-trees hold many empty leaves; the empty slice is one static
+        // allocation shared by all of them.
+        return Arc::default();
+    }
+    let mut out = Arc::<[U]>::new_uninit_slice(n * D);
+    let slots = Arc::get_mut(&mut out).expect("a fresh Arc has no other handle");
+    for (d, plane) in slots.chunks_exact_mut(n).enumerate() {
+        for (slot, p) in plane.iter_mut().zip(points) {
+            slot.write(f(p.coords[d]));
+        }
+    }
+    // SAFETY: the `D` chunks of `n` slots cover all `n * D` slots, and the
+    // inner loop wrote every slot of each chunk.
+    unsafe { out.assume_init() }
 }
 
 impl<T: Coord, const D: usize> PartialEq for LeafSoA<T, D> {

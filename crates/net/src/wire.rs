@@ -145,8 +145,7 @@ pub enum Reply<T: WireCoord, const D: usize> {
     /// Range-count answer.
     Count(u64),
     /// Epoch-bounds answer: `Some((oldest, newest))` retained epochs, or
-    /// `None` when the server keeps no history (non-persistent family, or
-    /// history disabled).
+    /// `None` when the server keeps no history (history disabled).
     EpochBounds(Option<(u64, u64)>),
     /// Batch accepted (enqueued to the writer; publication is asynchronous).
     BatchOk,

@@ -18,6 +18,8 @@
 //! * [`sort`] — a parallel sample sort over `(u64 key, u32 id)` pairs plus the
 //!   paper's **HybridSort** (Alg. 3) that computes SFC codes lazily during the
 //!   first distribution round,
+//! * [`cow`] — copy-on-write access to `Arc`-shared tree nodes (path
+//!   copying), counting every node a shared path forces a copy of,
 //! * [`stats`] — lightweight atomic instrumentation counters used by the
 //!   ablation benchmarks to report work/IO-proxy numbers.
 //!
@@ -27,6 +29,7 @@
 
 use rayon::prelude::*;
 
+pub mod cow;
 pub mod scan;
 pub mod sieve;
 pub mod sort;

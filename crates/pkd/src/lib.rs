@@ -25,8 +25,9 @@
 //! ```
 
 use psi_geometry::{Coord, KnnHeap, LeafSoA, Point, Rect};
-use psi_parutils::sieve_by;
 use psi_parutils::stats::counters;
+use psi_parutils::{cow, sieve_by};
+use std::sync::Arc;
 
 /// Tuning parameters of a [`PkdTree`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -50,6 +51,11 @@ impl Default for PkdConfig {
     }
 }
 
+/// A Pkd-tree node. Persistent by path copying: children are `Arc`-shared
+/// and leaf planes are too, so cloning a node is O(1). An update rewrites
+/// only the nodes on the paths its batch reaches ([`cow::unshare`] copies
+/// one while a snapshot still shares it); untouched subtrees stay shared.
+#[derive(Clone)]
 enum Node<T: Coord, const D: usize> {
     Leaf {
         /// SoA coordinate planes (+ bounding box): the leaf scan kernels
@@ -62,8 +68,8 @@ enum Node<T: Coord, const D: usize> {
         dim: usize,
         /// Splitting coordinate: points with `coord <= split` go left.
         split: T,
-        left: Box<Node<T, D>>,
-        right: Box<Node<T, D>>,
+        left: Arc<Node<T, D>>,
+        right: Arc<Node<T, D>>,
         size: usize,
         bbox: Rect<T, D>,
     },
@@ -143,6 +149,16 @@ impl<T: Coord, const D: usize> PkdTree<T, D> {
         let mut out = Vec::with_capacity(self.len());
         self.root.collect_into(&mut out);
         out
+    }
+
+    /// An O(1) **persistent snapshot**: a second tree sharing every node with
+    /// this one. Later updates through either handle path-copy only the
+    /// nodes their batch reaches, so the snapshot never changes.
+    pub fn snapshot(&self) -> Self {
+        PkdTree {
+            root: self.root.clone(),
+            cfg: self.cfg,
+        }
     }
 
     /// Batch insertion with reconstruction-based rebalancing.
@@ -302,8 +318,8 @@ fn build_rec<T: Coord, const D: usize>(
             split,
             size: n,
             bbox,
-            left: Box::new(left),
-            right: Box::new(right),
+            left: Arc::new(left),
+            right: Arc::new(right),
         };
     }
     let (l, r) = points.split_at_mut(mid);
@@ -320,8 +336,8 @@ fn build_rec<T: Coord, const D: usize>(
         split,
         size: n,
         bbox,
-        left: Box::new(left),
-        right: Box::new(right),
+        left: Arc::new(left),
+        right: Arc::new(right),
     }
 }
 
@@ -381,17 +397,13 @@ fn insert_rec<T: Coord, const D: usize>(
                 return build_rec(&mut all, cfg, depth);
             }
 
+            let descend = |child, part: &mut [Point<T, D>]| {
+                path_copy(child, part, |c, b| insert_rec(c, b, cfg, depth + 1))
+            };
             let (new_left, new_right) = if lbatch.len() + rbatch.len() > 2048 {
-                let (l, r) = rayon::join(
-                    || insert_rec(*left, lbatch, cfg, depth + 1),
-                    || insert_rec(*right, rbatch, cfg, depth + 1),
-                );
-                (l, r)
+                rayon::join(|| descend(left, lbatch), || descend(right, rbatch))
             } else {
-                (
-                    insert_rec(*left, lbatch, cfg, depth + 1),
-                    insert_rec(*right, rbatch, cfg, depth + 1),
-                )
+                (descend(left, lbatch), descend(right, rbatch))
             };
             let mut new_bbox = bbox;
             new_bbox = new_bbox.merged(new_left.bbox());
@@ -401,8 +413,8 @@ fn insert_rec<T: Coord, const D: usize>(
                 split,
                 size: new_size,
                 bbox: new_bbox,
-                left: Box::new(new_left),
-                right: Box::new(new_right),
+                left: new_left,
+                right: new_right,
             }
         }
     }
@@ -437,16 +449,13 @@ fn delete_rec<T: Coord, const D: usize>(
             });
             counters::POINTS_MOVED.add(batch.len() as u64);
             let (lbatch, rbatch) = batch.split_at_mut(offsets[1]);
+            let descend = |child, part: &mut [Point<T, D>]| {
+                path_copy(child, part, |c, b| delete_rec(c, b, cfg, depth + 1))
+            };
             let (new_left, new_right) = if lbatch.len() + rbatch.len() > 2048 {
-                rayon::join(
-                    || delete_rec(*left, lbatch, cfg, depth + 1),
-                    || delete_rec(*right, rbatch, cfg, depth + 1),
-                )
+                rayon::join(|| descend(left, lbatch), || descend(right, rbatch))
             } else {
-                (
-                    delete_rec(*left, lbatch, cfg, depth + 1),
-                    delete_rec(*right, rbatch, cfg, depth + 1),
-                )
+                (descend(left, lbatch), descend(right, rbatch))
             };
             let new_size = new_left.size() + new_right.size();
             // Flatten small subtrees; rebuild unbalanced ones.
@@ -471,10 +480,25 @@ fn delete_rec<T: Coord, const D: usize>(
                 split,
                 size: new_size,
                 bbox,
-                left: Box::new(new_left),
-                right: Box::new(new_right),
+                left: new_left,
+                right: new_right,
             }
         }
+    }
+}
+
+/// Apply `update` to `child` for a non-empty `part` of the batch, copying
+/// the child first only while a snapshot shares it; an empty part leaves the
+/// child, shared or not, as it is.
+fn path_copy<T: Coord, const D: usize>(
+    child: Arc<Node<T, D>>,
+    part: &mut [Point<T, D>],
+    update: impl FnOnce(Node<T, D>, &mut [Point<T, D>]) -> Node<T, D>,
+) -> Arc<Node<T, D>> {
+    if part.is_empty() {
+        child
+    } else {
+        Arc::new(update(cow::unshare(child), part))
     }
 }
 

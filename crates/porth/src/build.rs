@@ -18,6 +18,7 @@ use psi_geometry::{Coord, Point, Rect};
 use psi_parutils::sieve_by;
 use psi_parutils::stats::counters;
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Build a subtree over `points` (which is reordered in place) covering `region`.
 pub fn build_orth<T: Coord, const D: usize>(
@@ -28,12 +29,12 @@ pub fn build_orth<T: Coord, const D: usize>(
 ) -> Node<T, D> {
     let n = points.len();
     if n <= cfg.leaf_cap {
-        return Node::leaf_from(points.to_vec());
+        return Node::leaf_from(points);
     }
     // Safety valves for inputs an Orth-tree cannot subdivide: all points equal,
     // or the recursion depth cap reached (degenerate float inputs).
     if depth >= cfg.max_depth || all_equal(points) {
-        return Node::leaf_from(points.to_vec());
+        return Node::leaf_from(points);
     }
 
     let levels = effective_levels::<D>(cfg.skeleton_levels, n, cfg.leaf_cap);
@@ -123,7 +124,7 @@ fn assemble<T: Coord, const D: usize>(
         let mut parents = Vec::with_capacity(nodes.len() / fanout);
         let mut it = nodes.into_iter();
         loop {
-            let group: Vec<Node<T, D>> = it.by_ref().take(fanout).collect();
+            let group: Arc<[Node<T, D>]> = it.by_ref().take(fanout).collect();
             if group.is_empty() {
                 break;
             }
@@ -138,19 +139,19 @@ fn assemble<T: Coord, const D: usize>(
 /// Create an internal node over `children`, or a flat leaf if the combined
 /// size is within the leaf wrap `φ` (Alg. 1 line 10).
 pub fn make_internal<T: Coord, const D: usize>(
-    children: Vec<Node<T, D>>,
+    children: Arc<[Node<T, D>]>,
     cfg: &POrthConfig,
 ) -> Node<T, D> {
     let size: usize = children.iter().map(|c| c.size()).sum();
     if size <= cfg.leaf_cap {
         let mut pts = Vec::with_capacity(size);
-        for c in &children {
+        for c in children.iter() {
             c.collect_into(&mut pts);
         }
-        return Node::leaf_from(pts);
+        return Node::leaf_from(&pts);
     }
     let mut bbox = Rect::empty();
-    for c in &children {
+    for c in children.iter() {
         bbox = bbox.merged(c.bbox());
     }
     Node::Internal {
@@ -235,7 +236,7 @@ mod tests {
         match &node {
             Node::Internal { children, .. } => {
                 assert_eq!(children.len(), 4);
-                for c in children {
+                for c in children.iter() {
                     assert_eq!(c.size(), 50);
                 }
             }

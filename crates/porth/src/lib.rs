@@ -175,6 +175,18 @@ impl<T: Coord, const D: usize> POrthTree<T, D> {
         out
     }
 
+    /// An O(1) **persistent snapshot**: a second tree sharing every node with
+    /// this one. Later updates through either handle path-copy only the
+    /// child arrays their batch reaches (see [`Node`]), so the snapshot
+    /// never changes and costs no full copy.
+    pub fn snapshot(&self) -> Self {
+        POrthTree {
+            root: self.root.clone(),
+            universe: self.universe,
+            cfg: self.cfg,
+        }
+    }
+
     /// Batch insertion (Alg. 2). Points outside the current root region force a
     /// rebuild with an enlarged region; in-region points are sieved down the
     /// existing structure in parallel.

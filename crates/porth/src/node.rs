@@ -2,6 +2,7 @@
 
 use crate::POrthConfig;
 use psi_geometry::{Coord, LeafSoA, Point, Rect};
+use std::sync::Arc;
 
 /// A P-Orth tree node.
 ///
@@ -9,6 +10,13 @@ use psi_geometry::{Coord, LeafSoA, Point, Rect};
 /// median split of the node's region; empty orthants are represented by empty
 /// leaves so child indexing stays positional (child `i` covers orthant `i`,
 /// where bit `d` of `i` selects the upper half of dimension `d`).
+///
+/// The tree is persistent by path copying: an internal node's children live
+/// inline in one `Arc`-shared array, and leaf planes are `Arc`-shared too, so
+/// cloning a node is O(1) and a snapshot is a clone of the root. An update
+/// copies (see [`psi_parutils::cow`]) only the child arrays on the paths its
+/// batch reaches and replaces the leaves it rebuilds.
+#[derive(Clone)]
 pub enum Node<T: Coord, const D: usize> {
     /// A wrapped leaf: at most `φ` points stored in structure-of-arrays layout
     /// (more only for point multisets that cannot be subdivided, e.g. many
@@ -19,8 +27,9 @@ pub enum Node<T: Coord, const D: usize> {
     },
     /// An internal node covering `2^D` orthants.
     Internal {
-        /// Positional children (`children.len() == 1 << D`).
-        children: Vec<Node<T, D>>,
+        /// Positional children (`children.len() == 1 << D`), shared with
+        /// snapshots until an update reaches them.
+        children: Arc<[Node<T, D>]>,
         /// Tight bounding box of all points below.
         bbox: Rect<T, D>,
         /// Number of points below.
@@ -40,9 +49,9 @@ impl<T: Coord, const D: usize> Node<T, D> {
     }
 
     /// A leaf from a point slice (transposed into SoA planes, order kept).
-    pub fn leaf_from(points: Vec<Point<T, D>>) -> Self {
+    pub fn leaf_from(points: &[Point<T, D>]) -> Self {
         Node::Leaf {
-            points: LeafSoA::from_points(&points),
+            points: LeafSoA::from_points(points),
         }
     }
 
@@ -84,7 +93,7 @@ impl<T: Coord, const D: usize> Node<T, D> {
         match self {
             Node::Leaf { points } => points.collect_into(out),
             Node::Internal { children, .. } => {
-                for c in children {
+                for c in children.iter() {
                     c.collect_into(out);
                 }
             }
@@ -267,7 +276,7 @@ mod tests {
     #[test]
     fn leaf_helpers() {
         let pts = vec![PointI::<2>::new([1, 2]), PointI::<2>::new([3, 0])];
-        let leaf = Node::leaf_from(pts.clone());
+        let leaf = Node::leaf_from(&pts);
         assert_eq!(leaf.size(), 2);
         assert!(leaf.is_leaf());
         assert_eq!(leaf.height(), 1);

@@ -106,7 +106,7 @@ pub fn range_visit<T: Coord, const D: usize>(
     match node {
         Node::Leaf { points } => points.range_visit(rect, visitor),
         Node::Internal { children, .. } => {
-            for c in children {
+            for c in children.iter() {
                 range_visit(c, rect, visitor);
             }
         }
@@ -122,7 +122,7 @@ fn visit_all<T: Coord, const D: usize>(node: &Node<T, D>, visitor: &mut dyn FnMu
             }
         }
         Node::Internal { children, .. } => {
-            for c in children {
+            for c in children.iter() {
                 visit_all(c, visitor);
             }
         }

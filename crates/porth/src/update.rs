@@ -7,13 +7,18 @@
 //! only on which points it stores — so the only structural maintenance is
 //! re-wrapping leaves (rebuilding a leaf that overflows `φ` on insertion, and
 //! flattening a subtree that shrinks to at most `φ` points on deletion).
+//!
+//! Both recursions path-copy: an internal node the batch reaches takes its
+//! child array through [`cow::make_mut_slice`], which copies the array only
+//! while a snapshot shares it; orthants the batch misses return at once and
+//! stay shared, and a reached leaf is replaced by a rebuilt one, never edited.
 
 use crate::build::{build_orth, make_internal};
 use crate::node::{child_index, child_region, Node};
 use crate::POrthConfig;
 use psi_geometry::{Coord, Point, Rect};
-use psi_parutils::sieve_by;
 use psi_parutils::stats::counters;
+use psi_parutils::{cow, sieve_by};
 use rayon::prelude::*;
 
 /// Insert `points` (reordered in place) into the subtree `node` covering `region`.
@@ -57,7 +62,7 @@ pub fn batch_insert<T: Coord, const D: usize>(
                 rest = tail;
             }
 
-            children
+            cow::make_mut_slice(children)
                 .par_iter_mut()
                 .zip(slices.into_par_iter())
                 .enumerate()
@@ -114,7 +119,7 @@ pub fn batch_delete<T: Coord, const D: usize>(
                 rest = tail;
             }
 
-            let removed: usize = children
+            let removed: usize = cow::make_mut_slice(children)
                 .par_iter_mut()
                 .zip(slices.into_par_iter())
                 .enumerate()

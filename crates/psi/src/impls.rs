@@ -54,6 +54,9 @@ impl<T: Coord, const D: usize> SpatialIndex<T, D> for POrthTree<T, D> {
     fn check_invariants(&self) {
         POrthTree::check_invariants(self)
     }
+    fn snapshot(&self) -> Self {
+        POrthTree::snapshot(self)
+    }
 }
 
 impl<T: Coord, const D: usize> SpatialIndex<T, D> for PkdTree<T, D> {
@@ -86,6 +89,9 @@ impl<T: Coord, const D: usize> SpatialIndex<T, D> for PkdTree<T, D> {
     }
     fn check_invariants(&self) {
         PkdTree::check_invariants(self)
+    }
+    fn snapshot(&self) -> Self {
+        PkdTree::snapshot(self)
     }
 }
 
@@ -120,8 +126,8 @@ impl<C: SfcCurve<D>, const D: usize> SpatialIndex<i64, D> for SpacTree<C, D> {
     fn check_invariants(&self) {
         SpacTree::check_invariants(self)
     }
-    fn snapshot(&self) -> Option<Self> {
-        Some(SpacTree::snapshot(self))
+    fn snapshot(&self) -> Self {
+        SpacTree::snapshot(self)
     }
 }
 
@@ -156,8 +162,8 @@ impl<C: SfcCurve<D>, const D: usize> SpatialIndex<i64, D> for CpamTree<C, D> {
     fn check_invariants(&self) {
         CpamTree::check_invariants(self)
     }
-    fn snapshot(&self) -> Option<Self> {
-        Some(CpamTree::snapshot(self))
+    fn snapshot(&self) -> Self {
+        CpamTree::snapshot(self)
     }
 }
 
@@ -195,6 +201,9 @@ where
     fn check_invariants(&self) {
         ZdTree::check_invariants(self)
     }
+    fn snapshot(&self) -> Self {
+        ZdTree::snapshot(self)
+    }
 }
 
 impl<const D: usize> SpatialIndex<i64, D> for RTree<D> {
@@ -228,5 +237,8 @@ impl<const D: usize> SpatialIndex<i64, D> for RTree<D> {
     }
     fn check_invariants(&self) {
         RTree::check_invariants(self)
+    }
+    fn snapshot(&self) -> Self {
+        RTree::snapshot(self)
     }
 }

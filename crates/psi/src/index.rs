@@ -146,16 +146,13 @@ pub trait SpatialIndex<T: Coord, const D: usize>: Sized + Send + Sync {
     /// no-op for indexes without a checker.
     fn check_invariants(&self) {}
 
-    /// An optional **persistent snapshot** capability. Families backed by a
-    /// functional (path-copying) structure — the CPAM/SPaC PaC-trees — return
-    /// a second handle to the *same* nodes in O(1): later updates through
-    /// either handle copy-on-write only the spine they touch, so the snapshot
-    /// is immutable, costs no full copy, and never blocks the writer.
-    /// Families without structural sharing return `None` (the default), and
-    /// callers fall back to rebuilding or full-copy strategies.
-    fn snapshot(&self) -> Option<Self> {
-        None
-    }
+    /// A **persistent snapshot**: a second handle on the same nodes, made in
+    /// O(1). Every family's backbone is path-copying, so later updates
+    /// through either handle copy only the nodes on the paths their batch
+    /// reaches (each copy counted in `psi_index_nodes_copied_total`): the
+    /// snapshot never changes, costs no full copy, and never blocks the
+    /// writer.
+    fn snapshot(&self) -> Self;
 
     /// Apply a deletion batch and an insertion batch as one logical update
     /// (the `BatchDiff` operation of the Ψ-Lib API): first the deletions, then

@@ -5,13 +5,19 @@
 //! the conformance tests and the property suite, and it doubles as a reference
 //! when debugging new index implementations. Generic over the coordinate type
 //! like the trait itself, so it also oracles the `f64` configurations.
+//!
+//! Its snapshot shares the one point vector; the first update after it
+//! copies the whole vector (the entire "path" of a one-node structure),
+//! which is cheap enough for an oracle.
 
 use crate::SpatialIndex;
 use psi_geometry::{Coord, KnnHeap, Point, Rect};
+use psi_parutils::cow;
+use std::sync::Arc;
 
 /// Exhaustive-scan implementation of [`SpatialIndex`].
 pub struct BruteForce<T: Coord, const D: usize> {
-    points: Vec<Point<T, D>>,
+    points: Arc<Vec<Point<T, D>>>,
 }
 
 impl<T: Coord, const D: usize> BruteForce<T, D> {
@@ -28,12 +34,14 @@ impl<T: Coord, const D: usize> SpatialIndex<T, D> for BruteForce<T, D> {
 
     fn build_with(points: &[Point<T, D>], _universe: Option<&Rect<T, D>>, _cfg: ()) -> Self {
         BruteForce {
-            points: points.to_vec(),
+            points: Arc::new(points.to_vec()),
         }
     }
 
     fn batch_insert(&mut self, points: &[Point<T, D>]) {
-        self.points.extend_from_slice(points);
+        if !points.is_empty() {
+            cow::make_mut(&mut self.points).extend_from_slice(points);
+        }
     }
 
     fn batch_delete(&mut self, points: &[Point<T, D>]) -> usize {
@@ -41,7 +49,7 @@ impl<T: Coord, const D: usize> SpatialIndex<T, D> for BruteForce<T, D> {
         let mut to_remove = points.to_vec();
         to_remove.sort();
         let mut kept = Vec::with_capacity(self.points.len());
-        let mut stored = std::mem::take(&mut self.points);
+        let mut stored = cow::unshare(std::mem::take(&mut self.points));
         stored.sort();
         let mut j = 0;
         let mut removed = 0;
@@ -56,7 +64,7 @@ impl<T: Coord, const D: usize> SpatialIndex<T, D> for BruteForce<T, D> {
                 kept.push(p);
             }
         }
-        self.points = kept;
+        self.points = Arc::new(kept);
         removed
     }
 
@@ -72,8 +80,14 @@ impl<T: Coord, const D: usize> SpatialIndex<T, D> for BruteForce<T, D> {
 
     fn knn_into(&self, q: &Point<T, D>, k: usize, heap: &mut KnnHeap<T, D>) {
         heap.reset(k);
-        for p in &self.points {
+        for p in self.points.iter() {
             heap.offer_point(q, *p);
+        }
+    }
+
+    fn snapshot(&self) -> Self {
+        BruteForce {
+            points: Arc::clone(&self.points),
         }
     }
 }

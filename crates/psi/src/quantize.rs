@@ -210,11 +210,11 @@ where
         self.inner.check_invariants();
     }
 
-    fn snapshot(&self) -> Option<Self> {
-        Some(Quantized {
-            inner: self.inner.snapshot()?,
+    fn snapshot(&self) -> Self {
+        Quantized {
+            inner: self.inner.snapshot(),
             scale: self.scale,
-        })
+        }
     }
 }
 

@@ -100,13 +100,9 @@ pub trait DynIndex<T: Coord, const D: usize>: Send + Sync {
     /// Check structural invariants; panics on violation.
     fn check_invariants(&self);
 
-    /// Optional persistent-snapshot capability (see
-    /// [`SpatialIndex::snapshot`]): `Some` holds an immutable O(1)-copy view
-    /// sharing structure with `self`; `None` means the family has no
-    /// structural sharing and callers must fall back to full copies.
-    fn snapshot_dyn(&self) -> Option<Box<dyn DynIndex<T, D>>> {
-        None
-    }
+    /// An immutable O(1) snapshot sharing structure with `self` (see
+    /// [`SpatialIndex::snapshot`]).
+    fn snapshot_dyn(&self) -> Box<dyn DynIndex<T, D>>;
 
     /// Append every stored point to `out` (checkpoint serialization: the
     /// extracted build array recreates this index bit-identically through
@@ -176,10 +172,8 @@ impl<T: Coord, const D: usize, I: SpatialIndex<T, D> + 'static> DynIndex<T, D> f
     fn check_invariants(&self) {
         self.0.check_invariants()
     }
-    fn snapshot_dyn(&self) -> Option<Box<dyn DynIndex<T, D>>> {
-        self.0
-            .snapshot()
-            .map(|s| Box::new(DynAdapter(s)) as Box<dyn DynIndex<T, D>>)
+    fn snapshot_dyn(&self) -> Box<dyn DynIndex<T, D>> {
+        Box::new(DynAdapter(self.0.snapshot()))
     }
 }
 

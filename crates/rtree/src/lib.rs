@@ -25,7 +25,9 @@
 //! ```
 
 use psi_geometry::{Coord, KnnHeap, Point, PointI, Rect, RectI};
+use psi_parutils::cow;
 use psi_parutils::stats::counters;
+use std::sync::Arc;
 
 /// Maximum number of entries per node (`M`). Boost's default is 16.
 pub const MAX_ENTRIES: usize = 16;
@@ -33,12 +35,16 @@ pub const MAX_ENTRIES: usize = 16;
 /// the quadratic-split literature.
 pub const MIN_ENTRIES: usize = 6;
 
+/// An R-tree node. Persistent by path copying: children are `Arc`-shared,
+/// so cloning a node copies at most `M` child handles, and an update copies
+/// ([`cow::make_mut`]) only the nodes on the one path it descends.
+#[derive(Clone)]
 enum Node<const D: usize> {
     Leaf {
         points: Vec<PointI<D>>,
     },
     Internal {
-        children: Vec<(RectI<D>, Box<Node<D>>)>,
+        children: Vec<(RectI<D>, Arc<Node<D>>)>,
     },
 }
 
@@ -126,6 +132,17 @@ impl<const D: usize> RTree<D> {
         }
     }
 
+    /// An O(1) **persistent snapshot**: a second tree sharing every node
+    /// below the root with this one. Later updates through either handle
+    /// path-copy only the nodes they descend through, so the snapshot never
+    /// changes.
+    pub fn snapshot(&self) -> Self {
+        RTree {
+            root: self.root.clone(),
+            size: self.size,
+        }
+    }
+
     /// Bulk constructor: repeated single insertion, exactly how the paper
     /// obtains its Boost R-tree instances.
     pub fn build(points: &[PointI<D>]) -> Self {
@@ -166,7 +183,7 @@ impl<const D: usize> RTree<D> {
             let old_root = std::mem::replace(&mut self.root, Node::Leaf { points: Vec::new() });
             let old_rect = old_root.bbox();
             self.root = Node::Internal {
-                children: vec![(old_rect, Box::new(old_root)), (sibling_rect, sibling)],
+                children: vec![(old_rect, Arc::new(old_root)), (sibling_rect, sibling)],
             };
         }
     }
@@ -174,17 +191,21 @@ impl<const D: usize> RTree<D> {
     /// Delete one occurrence of `p`; returns whether a point was removed.
     /// Underfull nodes are condensed by re-inserting their points.
     pub fn delete(&mut self, p: &PointI<D>) -> bool {
-        let mut orphans = Vec::new();
-        let removed = delete_rec(&mut self.root, p, &mut orphans);
-        if removed {
-            self.size -= 1;
+        // Find the point read-only first, so a miss copies nothing and a hit
+        // copies only the one path down to it.
+        let mut path = Vec::new();
+        if !locate(&self.root, p, &mut path) {
+            return false;
         }
+        let mut orphans = Vec::new();
+        delete_at(&mut self.root, &path, p, &mut orphans);
+        self.size -= 1;
         // Shrink the root while it has a single internal child.
         loop {
             let replace = match &mut self.root {
                 Node::Internal { children } if children.len() == 1 => {
                     let (_, only) = children.pop().expect("len checked");
-                    Some(*only)
+                    Some(cow::unshare(only))
                 }
                 Node::Internal { children } if children.is_empty() => {
                     Some(Node::Leaf { points: Vec::new() })
@@ -197,12 +218,11 @@ impl<const D: usize> RTree<D> {
             }
         }
         // Re-insert points orphaned by condensed nodes.
-        let orphans: Vec<_> = std::mem::take(&mut orphans);
         for q in orphans {
             self.size -= 1; // insert() adds it back
             self.insert(q);
         }
-        removed
+        true
     }
 
     /// Sequential "batch" insertion: one point at a time.
@@ -301,7 +321,7 @@ impl<const D: usize> RTree<D> {
 fn insert_rec<const D: usize>(
     node: &mut Node<D>,
     p: PointI<D>,
-) -> Option<(RectI<D>, Box<Node<D>>)> {
+) -> Option<(RectI<D>, Arc<Node<D>>)> {
     match node {
         Node::Leaf { points } => {
             points.push(p);
@@ -311,7 +331,7 @@ fn insert_rec<const D: usize>(
             let (a, b) = quadratic_split_points(std::mem::take(points));
             let rb = Rect::bounding(&b);
             *points = a;
-            Some((rb, Box::new(Node::Leaf { points: b })))
+            Some((rb, Arc::new(Node::Leaf { points: b })))
         }
         Node::Internal { children } => {
             // ChooseLeaf: the child needing the least enlargement (ties by area).
@@ -327,7 +347,7 @@ fn insert_rec<const D: usize>(
                     best_area = a;
                 }
             }
-            let split = insert_rec(&mut children[best].1, p);
+            let split = insert_rec(cow::make_mut(&mut children[best].1), p);
             children[best].0 = children[best].1.bbox();
             if let Some((rect, sibling)) = split {
                 children.push((rect, sibling));
@@ -335,7 +355,7 @@ fn insert_rec<const D: usize>(
                     let (a, b) = quadratic_split_children(std::mem::take(children));
                     let rb = group_bbox(&b);
                     *children = a;
-                    return Some((rb, Box::new(Node::Internal { children: b })));
+                    return Some((rb, Arc::new(Node::Internal { children: b })));
                 }
             }
             None
@@ -343,7 +363,7 @@ fn insert_rec<const D: usize>(
     }
 }
 
-fn group_bbox<const D: usize>(children: &[(RectI<D>, Box<Node<D>>)]) -> RectI<D> {
+fn group_bbox<const D: usize>(children: &[(RectI<D>, Arc<Node<D>>)]) -> RectI<D> {
     let mut b = Rect::empty();
     for (r, _) in children {
         b = b.merged(r);
@@ -415,8 +435,8 @@ fn quadratic_split_points<const D: usize>(
 /// Quadratic split for internal-node children.
 #[allow(clippy::type_complexity)]
 fn quadratic_split_children<const D: usize>(
-    children: Vec<(RectI<D>, Box<Node<D>>)>,
-) -> (Vec<(RectI<D>, Box<Node<D>>)>, Vec<(RectI<D>, Box<Node<D>>)>) {
+    children: Vec<(RectI<D>, Arc<Node<D>>)>,
+) -> (Vec<(RectI<D>, Arc<Node<D>>)>, Vec<(RectI<D>, Arc<Node<D>>)>) {
     debug_assert!(children.len() > MAX_ENTRIES);
     let (mut s1, mut s2) = (0usize, 1usize);
     let mut worst = f64::MIN;
@@ -472,44 +492,51 @@ fn quadratic_split_children<const D: usize>(
     (group_a, group_b)
 }
 
-/// Recursive deletion; underfull internal children are dissolved and their
-/// points pushed into `orphans` for re-insertion.
-fn delete_rec<const D: usize>(
+/// Depth-first search for a stored copy of `p`, visiting children in order
+/// and only those whose rectangle contains it. On success `path` holds the
+/// child index taken at each internal level.
+fn locate<const D: usize>(node: &Node<D>, p: &PointI<D>, path: &mut Vec<usize>) -> bool {
+    match node {
+        Node::Leaf { points } => points.contains(p),
+        Node::Internal { children } => {
+            for (i, (r, c)) in children.iter().enumerate() {
+                path.push(i);
+                if r.contains(p) && locate(c, p, path) {
+                    return true;
+                }
+                path.pop();
+            }
+            false
+        }
+    }
+}
+
+/// Delete `p` along the `path` [`locate`] found; underfull internal children
+/// are dissolved and their points pushed into `orphans` for re-insertion.
+fn delete_at<const D: usize>(
     node: &mut Node<D>,
+    path: &[usize],
     p: &PointI<D>,
     orphans: &mut Vec<PointI<D>>,
-) -> bool {
+) {
     match node {
         Node::Leaf { points } => {
-            if let Some(pos) = points.iter().position(|x| x == p) {
-                points.swap_remove(pos);
-                true
-            } else {
-                false
-            }
+            let pos = points.iter().position(|x| x == p).expect("located");
+            points.swap_remove(pos);
         }
         Node::Internal { children } => {
-            let mut removed = false;
-            let mut condensed: Option<usize> = None;
-            for (i, (r, c)) in children.iter_mut().enumerate() {
-                if r.contains(p) && delete_rec(c, p, orphans) {
-                    removed = true;
-                    *r = c.bbox();
-                    let underfull = match c.as_ref() {
-                        Node::Leaf { points } => points.is_empty(),
-                        Node::Internal { children } => children.len() < 2,
-                    };
-                    if underfull {
-                        condensed = Some(i);
-                    }
-                    break;
-                }
-            }
-            if let Some(i) = condensed {
+            let i = path[0];
+            let (r, c) = &mut children[i];
+            delete_at(cow::make_mut(c), &path[1..], p, orphans);
+            *r = c.bbox();
+            let underfull = match c.as_ref() {
+                Node::Leaf { points } => points.is_empty(),
+                Node::Internal { children } => children.len() < 2,
+            };
+            if underfull {
                 let (_, dead) = children.swap_remove(i);
                 dead.collect_into(orphans);
             }
-            removed
         }
     }
 }

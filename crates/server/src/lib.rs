@@ -11,17 +11,14 @@
 //!   updates split per stripe, range queries fan out to intersecting
 //!   stripes and merge by sum/concatenation, and kNN does a pruned best-`k`
 //!   merge across stripes (batched: home-shard phase + spill phase, one
-//!   batch dispatch per shard per phase). Each batch is published as one
-//!   immutable view — a snapshot per shard under one global epoch — swapped
-//!   in with a single pointer store; readers pin a view and query it
-//!   lock-free, and observe whole batches only, across every shard a batch
-//!   spans.
-//! * [`shard`] — the **writer side** of a shard: families with a persistent
-//!   (path-copying) backbone — the CPAM/SPaC PaC-trees — keep **one** live
-//!   tree and produce `O(1)` structural-sharing snapshots (no standby copy,
-//!   writer never waits on readers); everything else falls back to the
-//!   classic left-right double buffer with a parked (not spinning)
-//!   standby-reclaim wait.
+//!   batch dispatch per shard per phase). Each shard is one live index;
+//!   every index family is persistent by path copying, so a batch is
+//!   applied in place (copying only the nodes it reaches) and each touched
+//!   shard is snapshotted in `O(1)`. Each batch is published as one
+//!   immutable view — a snapshot per shard under one global epoch —
+//!   swapped in with a single pointer store; readers pin a view and query
+//!   it lock-free, observe whole batches only, across every shard a batch
+//!   spans, and never make the writer wait.
 //! * [`coalesce`] — a **request coalescer**: individual queries from many
 //!   client threads are buffered and flushed through the existing
 //!   `knn_batch` / `range_count_batch` / `range_list_batch` paths, so the
@@ -36,7 +33,7 @@
 //! closed-loop driver (clients × move-batch writer with a count-conservation
 //! check) behind `bench_serve` and the scenario harness's `[serve]` phase.
 //!
-//! Persistent routers additionally retain a bounded log of recent views
+//! The router also retains a bounded log of recent views
 //! ([`ServeConfig::epoch_history`]): [`PsiServer::view_at`] and the `*_at`
 //! client calls answer **"as of epoch N"** time-travel queries from it,
 //! bit-identical to what a reader pinned at that epoch saw.
@@ -71,14 +68,12 @@ pub mod coalesce;
 pub mod durability;
 pub mod loadgen;
 pub mod router;
-pub mod shard;
 pub mod wal;
 
 pub use coalesce::{CoalesceHandle, Coalescer, Completion, QueryOp, QueryReply};
 pub use durability::DurabilityConfig;
 pub use loadgen::{closed_loop, closed_loop_with, LoadOutcome, LoadSpec, QueryClient};
-pub use router::{Router, RouterView, ServeCoord, DEFAULT_EPOCH_HISTORY};
-pub use shard::{IndexFactory, Snapshot};
+pub use router::{IndexFactory, Router, RouterView, ServeCoord, Snapshot, DEFAULT_EPOCH_HISTORY};
 pub use wal::FsyncPolicy;
 
 use durability::{checkpoint_path, wal_path};
@@ -113,10 +108,9 @@ pub struct ServeConfig {
     /// full (closed-loop back-pressure). Default 8.
     pub writer_queue: usize,
     /// Recent global epochs kept pinned for "as of epoch N" time-travel
-    /// queries. Takes effect only when every shard is persistent (the
-    /// CPAM/SPaC families); retained views there share structure with the
-    /// live tree, so the window costs `O(batch · log n)` nodes per epoch,
-    /// not a copy. Default [`DEFAULT_EPOCH_HISTORY`]; 0 disables.
+    /// queries. Retained views share structure with the live index, so the
+    /// window costs the nodes each epoch's batch path-copied, not a copy
+    /// per epoch. Default [`DEFAULT_EPOCH_HISTORY`]; 0 disables.
     pub epoch_history: usize,
     /// Additional **byte budget** for the epoch history: estimated retained
     /// bytes (batch payload plus a small per-entry overhead) beyond which
@@ -224,9 +218,8 @@ pub struct PsiServer<T: ServeCoord, const D: usize> {
 
 impl<T: ServeCoord + WireCoord, const D: usize> PsiServer<T, D> {
     /// Build the server: shard `points` over `universe`, spawn the writer
-    /// and flusher threads. `factory` constructs each shard's index — once
-    /// per shard for persistent families, twice (the left-right double
-    /// buffer) for the rest.
+    /// and flusher threads. `factory` constructs each shard's index, once
+    /// per shard.
     ///
     /// With [`ServeConfig::durability`] set, construction first **recovers**
     /// from the data directory: the newest valid checkpoint is rebuilt, the
@@ -411,7 +404,7 @@ impl<T: ServeCoord, const D: usize> PsiServer<T, D> {
 
     /// The view as of global `epoch`, if it is still inside the retained
     /// history window ([`ServeConfig::epoch_history`]); `None` for evicted
-    /// epochs or non-persistent serving families.
+    /// or future epochs.
     pub fn view_at(&self, epoch: u64) -> Option<RouterView<T, D>> {
         self.router.pin_at(epoch)
     }

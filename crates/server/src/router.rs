@@ -18,32 +18,32 @@
 //!   stripe into the neighbouring shards (one more batch per shard) — so
 //!   the common case costs one batch dispatch per shard, not per query.
 //!
-//! **Publication.** The router is the only publication point. It holds one
-//! immutable view per **global epoch** — one [`Snapshot`] per shard — and
+//! **Publication.** The router is the only publication point. Each shard is
+//! one live index, and every index family is persistent by path copying
+//! ([`SpatialIndex::snapshot`](psi::SpatialIndex::snapshot)), so a shard's
+//! [`Snapshot`] is an `O(1)` handle sharing structure with the live index.
 //! [`Router::publish`] splits a batch by stripe, applies each sub-batch to
-//! its shard, builds the next view (reusing the snapshots of the shards the
-//! batch did not touch) and swaps it in with a single pointer store. A
-//! [`RouterView`] is a handle on one such view: [`Router::pin`] is one read
-//! lock and one `Arc` clone, and a reader sees either the whole batch or
-//! none of it, across every shard it spans.
+//! its shard's live index in place — copy-on-write duplicates only the nodes
+//! on the paths the batch reaches — snapshots the touched shards, builds the
+//! next view (reusing the snapshots of the shards the batch did not touch)
+//! and swaps it in with a single pointer store. A [`RouterView`] is a handle
+//! on one such view: [`Router::pin`] is one read lock and one `Arc` clone,
+//! and a reader sees either the whole batch or none of it, across every
+//! shard it spans.
 //!
 //! Blocking discipline: readers never block on a publish — the write lock
 //! covers only the pointer swap and the history append, never batch
 //! application, and views it evicts are freed after the lock is released.
-//! A persistent-mode writer never waits on readers; a left-right writer
-//! waits only for views of older epochs that still hold its standby copy
-//! (see [`shard`](crate::shard)), parking until such a view drops.
+//! The writer never waits on readers either: a stale view only keeps the
+//! nodes it shares alive until it drops.
 //!
-//! **History.** When every shard is persistent, the router also keeps a
-//! bounded log of recent views for "as of epoch N" time-travel queries
-//! ([`Router::pin_at`]). The log holds the very views readers pin, so a
-//! retained epoch costs only the copy-on-write spine its batch duplicated.
-//! Under the left-right fallback a retained view would pin an old copy and
-//! stall the writer, so such routers keep no history and answer `pin_at`
-//! with `None`.
+//! **History.** The router also keeps a bounded log of recent views for
+//! "as of epoch N" time-travel queries ([`Router::pin_at`]). The log holds
+//! the very views readers pin, so a retained epoch costs only the nodes its
+//! batch path-copied.
 
-use crate::shard::{IndexFactory, Reclaim, Shard, Snapshot};
 use crate::ServeConfig;
+use psi::registry::DynIndex;
 use psi_geometry::{Coord, KnnHeap, Point, Rect};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, RwLock};
@@ -61,8 +61,8 @@ static OBS_PINNED: psi_obs::LazyGauge = psi_obs::LazyGauge::new(
     "router views alive: current, retained history, and older views still pinned",
 );
 
-/// Global epochs a persistent router keeps pinned for time-travel queries
-/// when no explicit history depth is configured.
+/// Global epochs a router keeps pinned for time-travel queries when no
+/// explicit history depth is configured.
 pub const DEFAULT_EPOCH_HISTORY: usize = 8;
 
 /// Fixed per-entry overhead charged against the history byte budget (the
@@ -90,6 +90,42 @@ impl ServeCoord for f64 {
     }
 }
 
+/// Builds one shard's index over its share of the points; called exactly
+/// once per shard.
+pub type IndexFactory<T, const D: usize> =
+    Arc<dyn Fn(&[Point<T, D>]) -> Box<dyn DynIndex<T, D>> + Send + Sync>;
+
+/// An immutable state of one shard's index, reached through
+/// [`RouterView::snapshot`]; queries run against [`Snapshot::index`] without
+/// any locking, and the contents never change while the view is held.
+pub struct Snapshot<T: Coord, const D: usize> {
+    index: Box<dyn DynIndex<T, D>>,
+}
+
+impl<T: Coord, const D: usize> Snapshot<T, D> {
+    /// The immutable index of this snapshot.
+    pub fn index(&self) -> &dyn DynIndex<T, D> {
+        &*self.index
+    }
+
+    /// Number of stored points.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// `true` if the snapshot holds no points.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+}
+
+/// An `O(1)` snapshot of a shard's live index.
+fn snapshot_of<T: Coord, const D: usize>(live: &dyn DynIndex<T, D>) -> Arc<Snapshot<T, D>> {
+    Arc::new(Snapshot {
+        index: live.snapshot_dyn(),
+    })
+}
+
 /// What every view of one router shares, fixed at construction.
 struct Frame<T: Coord, const D: usize> {
     /// `cuts[i]` is the lower dimension-0 bound of shard `i`'s stripe
@@ -98,9 +134,6 @@ struct Frame<T: Coord, const D: usize> {
     cuts: Vec<T>,
     /// Each shard's stripe as a pruning box.
     regions: Vec<Rect<T, D>>,
-    /// Wakes a left-right writer parked on a stale view; `None` when every
-    /// shard is persistent (their writers never wait on readers).
-    reclaim: Option<Reclaim>,
 }
 
 /// One published global epoch: a snapshot per shard.
@@ -124,16 +157,11 @@ impl<T: Coord, const D: usize> View<T, D> {
 impl<T: Coord, const D: usize> Drop for View<T, D> {
     fn drop(&mut self) {
         OBS_PINNED.dec();
-        if let Some(reclaim) = &self.frame.reclaim {
-            // Release the snapshots before signalling (see `Reclaim::signal`).
-            self.snaps.clear();
-            reclaim.signal();
-        }
     }
 }
 
-/// What readers see: the current view and, on persistent routers, the
-/// time-travel log. Guarded by one `RwLock`, written once per batch.
+/// What readers see: the current view and the time-travel log. Guarded by
+/// one `RwLock`, written once per batch.
 struct Published<T: Coord, const D: usize> {
     current: Arc<View<T, D>>,
     /// Retained views with their estimated cost in bytes, oldest first.
@@ -147,11 +175,10 @@ struct Published<T: Coord, const D: usize> {
 /// A set of shards covering the domain in dimension-0 stripes.
 pub struct Router<T: ServeCoord, const D: usize> {
     published: RwLock<Published<T, D>>,
-    /// Writer-side state per shard; the lock serialises publishes.
-    shards: Mutex<Vec<Shard<T, D>>>,
+    /// Each shard's live index; the lock serialises publishes.
+    shards: Mutex<Vec<Box<dyn DynIndex<T, D>>>>,
     frame: Arc<Frame<T, D>>,
-    /// Views the history keeps; 0 disables it (left-right shards present,
-    /// or configured off).
+    /// Views the history keeps; 0 disables it.
     history_cap: usize,
     /// Byte budget across retained views; 0 = count bound only. The newest
     /// view is always kept, even when over budget.
@@ -182,7 +209,7 @@ impl<T: ServeCoord, const D: usize> Router<T, D> {
     /// published as global epoch `base_epoch` — crash recovery seeds it at
     /// the checkpoint watermark so epoch numbers continue across a restart.
     ///
-    /// When every shard is persistent, the router retains the last
+    /// `factory` is called once per shard. The router retains the last
     /// [`ServeConfig::epoch_history`] views for [`Router::pin_at`], evicting
     /// older ones sooner once their estimated bytes (batch payload plus a
     /// fixed overhead per view) exceed [`ServeConfig::epoch_history_bytes`]
@@ -202,9 +229,8 @@ impl<T: ServeCoord, const D: usize> Router<T, D> {
         for p in points {
             parts[shard_of(&cuts, p)].push(*p);
         }
-        let (shards, snaps): (Vec<Shard<T, D>>, Vec<_>) =
-            parts.iter().map(|part| Shard::new(factory, part)).unzip();
-        let persistent = shards.iter().all(Shard::is_persistent);
+        let shards: Vec<_> = parts.iter().map(|part| factory(part)).collect();
+        let snaps = shards.iter().map(|live| snapshot_of(&**live)).collect();
         let regions = (0..shard_count)
             .map(|i| {
                 let lo = (i > 0).then(|| cuts[i]);
@@ -212,12 +238,8 @@ impl<T: ServeCoord, const D: usize> Router<T, D> {
                 stripe_region(lo, hi)
             })
             .collect();
-        let frame = Arc::new(Frame {
-            cuts,
-            regions,
-            reclaim: (!persistent).then(Reclaim::default),
-        });
-        let history_cap = if persistent { cfg.epoch_history } else { 0 };
+        let frame = Arc::new(Frame { cuts, regions });
+        let history_cap = cfg.epoch_history;
         let current = Arc::new(View::new(base_epoch, snaps, Arc::clone(&frame)));
         let mut log = VecDeque::new();
         let mut log_bytes = 0;
@@ -275,8 +297,8 @@ impl<T: ServeCoord, const D: usize> Router<T, D> {
     /// (deletions before insertions, per the `BatchDiff` contract), and
     /// publish the result as one view under the next global epoch, which is
     /// returned. Shards the batch does not touch carry their snapshots over
-    /// unchanged. On persistent routers the new view also enters the
-    /// time-travel log. Publishes are serialised internally.
+    /// unchanged. The new view also enters the time-travel log. Publishes
+    /// are serialised internally.
     pub fn publish(&self, delete: &[Point<T, D>], insert: &[Point<T, D>]) -> u64 {
         let split = |pts: &[Point<T, D>]| {
             let mut parts: Vec<Vec<Point<T, D>>> = vec![Vec::new(); self.shard_count()];
@@ -292,12 +314,13 @@ impl<T: ServeCoord, const D: usize> Router<T, D> {
             let published = self.read();
             (published.current.epoch + 1, published.current.snaps.clone())
         };
-        for (i, shard) in shards.iter_mut().enumerate() {
+        for (i, live) in shards.iter_mut().enumerate() {
             if dels[i].is_empty() && inss[i].is_empty() {
                 continue;
             }
             let t0 = std::time::Instant::now();
-            snaps[i] = shard.publish(&dels[i], &inss[i], self.frame.reclaim.as_ref());
+            live.batch_diff(&dels[i], &inss[i]);
+            snaps[i] = snapshot_of(&**live);
             self.publish_hist[i].record_duration(t0.elapsed());
         }
         let next = Arc::new(View::new(epoch, snaps, Arc::clone(&self.frame)));
@@ -338,15 +361,9 @@ impl<T: ServeCoord, const D: usize> Router<T, D> {
         self.read().current.epoch
     }
 
-    /// `true` when every shard runs in persistent mode (one live tree per
-    /// shard, `O(1)` publishes, epoch history available).
-    pub fn is_persistent(&self) -> bool {
-        self.frame.reclaim.is_none()
-    }
-
     /// The view of global `epoch`, if it is still in the history window.
-    /// `None` for evicted or future epochs, and always `None` on
-    /// non-persistent routers (no history is kept — see the module docs).
+    /// `None` for evicted or future epochs, and always `None` when history
+    /// is configured off.
     pub fn pin_at(&self, epoch: u64) -> Option<RouterView<T, D>> {
         let published = self.read();
         let oldest = published.log.front()?.0.epoch;
@@ -615,7 +632,6 @@ mod tests {
     use psi_geometry::PointI;
     use psi_workloads as workloads;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::time::Duration;
 
     fn factory() -> IndexFactory<i64, 2> {
         named_factory("spac-h")
@@ -750,10 +766,8 @@ mod tests {
 
     #[test]
     fn publish_bumps_epochs_and_pins_are_stable() {
-        // Both writer modes must satisfy the same epoch contract.
-        for family in ["pkd", "cpam-h"] {
+        for &family in registry::names() {
             let router = router(&named_factory(family), &pts(0..100), &world(), 1);
-            assert_eq!(router.is_persistent(), family == "cpam-h");
             let e0 = router.pin();
             assert_eq!(e0.epoch(), 0);
             assert_eq!(e0.len(), 100);
@@ -771,26 +785,8 @@ mod tests {
     }
 
     #[test]
-    fn lag_catchup_keeps_both_copies_identical() {
-        let router = router(&named_factory("pkd"), &pts(0..50), &world(), 1);
-        assert!(!router.is_persistent());
-        // Several publishes: the standby is always one batch behind and
-        // must catch up correctly (drop pins so the writer can reclaim).
-        for round in 0..5i64 {
-            let del = pts(round * 5..round * 5 + 5);
-            let ins = pts(100 + round * 7..100 + round * 7 + 7);
-            assert_eq!(router.publish(&del, &ins), round as u64 + 1);
-            let pin = router.pin();
-            assert_eq!(pin.epoch(), round as u64 + 1);
-            let want = 50 - 5 * (round as usize + 1) + 7 * (round as usize + 1);
-            assert_eq!(pin.len(), want);
-            assert_eq!(pin.snapshot(0).index().range_count(&world()), want);
-        }
-    }
-
-    #[test]
     fn concurrent_readers_see_whole_epochs_only() {
-        for family in ["pkd", "cpam-h"] {
+        for family in ["p-orth", "pkd", "cpam-h"] {
             let router = Arc::new(router(&named_factory(family), &pts(-100..100), &world(), 2));
             // Epoch e has exactly 200 + 10e points (insert-only batches
             // spanning both stripes), so a torn read would show a size
@@ -846,110 +842,100 @@ mod tests {
     }
 
     #[test]
-    fn persistent_shards_build_one_tree_left_right_builds_two() {
-        let calls = Arc::new(AtomicUsize::new(0));
-        let counting = |name: &'static str, calls: Arc<AtomicUsize>| -> IndexFactory<i64, 2> {
-            Arc::new(move |pts: &[PointI<2>]| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                registry::create::<2>(name, pts, &BuildOptions::default()).unwrap()
-            })
-        };
-
-        let r = router(
-            &counting("cpam-h", Arc::clone(&calls)),
-            &pts(-32..32),
-            &world(),
-            2,
-        );
-        assert!(r.is_persistent());
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            2,
-            "persistent: one tree per shard"
-        );
-
-        calls.store(0, Ordering::Relaxed);
-        let r = router(
-            &counting("pkd", Arc::clone(&calls)),
-            &pts(-32..32),
-            &world(),
-            2,
-        );
-        assert!(!r.is_persistent());
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            4,
-            "left-right: double buffer per shard"
-        );
+    fn every_family_builds_one_tree_per_shard() {
+        for &family in registry::names() {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let counting = {
+                let calls = Arc::clone(&calls);
+                Arc::new(move |pts: &[PointI<2>]| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    registry::create::<2>(family, pts, &BuildOptions::default()).unwrap()
+                }) as IndexFactory<i64, 2>
+            };
+            let r = router(&counting, &pts(-32..32), &world(), 2);
+            r.publish(&pts(-4..4), &pts(100..108));
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                2,
+                "{family}: one tree per shard"
+            );
+            assert_eq!(r.len(), 64, "{family}");
+        }
     }
 
     #[test]
     fn persistent_publish_copies_a_spine_not_the_tree() {
         use psi_parutils::stats::counters;
         // A full copy of n points costs >= n/phi leaf nodes; a CoW publish
-        // of a tiny batch touches only the spine. The NODES_COPIED counter
-        // is process-global, so the measurement uses the scoped same-thread
-        // capture: these 8-point batches sit far below the update paths'
-        // parallel grain, so every copy happens on this thread and the
-        // captured delta is exact — concurrent tests no longer interfere.
+        // of a tiny batch copies only the paths it reaches. NODES_COPIED is
+        // process-global, so the measurement uses the scoped same-thread
+        // capture inside a one-thread pool: every copy, parallel update
+        // paths included, happens on this thread and the captured delta is
+        // exact — concurrent tests do not interfere.
         let n = 60_000i64;
-        let router = router(&named_factory("cpam-h"), &pts(0..n), &world(), 1);
-        assert!(router.is_persistent());
-        let pins: Vec<_> = (0..4).map(|_| router.pin()).collect(); // live views forcing CoW
-        let ((), copied) = counters::NODES_COPIED.scoped(|| {
-            for round in 0..10i64 {
-                router.publish(&[], &pts(n + round * 8..n + round * 8 + 8));
-            }
-        });
-        // 10 publishes x 8 points over n=60k: spine copies only. A single
-        // full copy would clone >= 1_500 leaves; stay well under that.
-        assert!(
-            copied < 1_200,
-            "publish copied {copied} nodes - that smells like a full copy"
-        );
-        drop(pins);
+        // Per family: the copies (a node, or an orth-tree child array) 10
+        // eight-point publishes may make, about twice what they make today.
+        // One full copy clones >= n / phi = 1_875 leaves (n / 16 = 3_750
+        // for the R-tree), so every bound sits far below a single copy.
+        let bounds = [
+            ("p-orth", 250),
+            ("spac-h", 500),
+            ("spac-z", 500),
+            ("cpam-h", 500),
+            ("cpam-z", 500),
+            ("pkd", 250),
+            ("zd", 550),
+            ("r-tree", 100),
+        ];
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        for (family, bound) in bounds {
+            let router = router(&named_factory(family), &pts(0..n), &world(), 1);
+            let pins: Vec<_> = (0..4).map(|_| router.pin()).collect(); // live views forcing CoW
+            let ((), copied) = one_thread.install(|| {
+                counters::NODES_COPIED.scoped(|| {
+                    for round in 0..10i64 {
+                        // Inside the stored points' box: no family rebuilds.
+                        let ins: Vec<PointI<2>> = (0..8)
+                            .map(|j| {
+                                let x = n / 2 + round * 8 + j;
+                                Point::new([x, 2 * x + 1])
+                            })
+                            .collect();
+                        router.publish(&[], &ins);
+                    }
+                })
+            });
+            assert!(copied > 0, "{family}: a shared tree must be path-copied");
+            assert!(
+                copied < bound,
+                "{family}: publish copied {copied} nodes - that smells like a full copy"
+            );
+            assert_eq!(pins[0].len(), n as usize, "{family}: pinned view unchanged");
+            assert_eq!(router.len(), n as usize + 80, "{family}");
+        }
     }
 
     #[test]
     fn persistent_writer_never_waits_on_readers() {
-        // Hold pins of *every* epoch while publishing: a left-right writer
-        // would deadlock here (the stale pins never drop); the persistent
-        // writer sails through.
-        let router = router(&named_factory("cpam-z"), &pts(0..100), &world(), 1);
-        assert!(router.is_persistent());
-        let mut pins = vec![router.pin()];
-        for round in 0..8i64 {
-            router.publish(&[], &pts(200 + round * 3..200 + round * 3 + 3));
-            pins.push(router.pin());
+        // Hold pins of *every* epoch while publishing: the writer never
+        // waits for a view to drop, and every pinned epoch stays intact.
+        for &family in registry::names() {
+            let router = router(&named_factory(family), &pts(0..100), &world(), 1);
+            let mut pins = vec![router.pin()];
+            for round in 0..8i64 {
+                router.publish(&[], &pts(200 + round * 3..200 + round * 3 + 3));
+                pins.push(router.pin());
+            }
+            // Every historical epoch is still fully queryable.
+            for (e, pin) in pins.iter().enumerate() {
+                assert_eq!(pin.epoch(), e as u64, "{family}");
+                assert_eq!(pin.len(), 100 + 3 * e, "{family}");
+                assert_eq!(pin.range_count(&world()), 100 + 3 * e, "{family}");
+            }
         }
-        // Every historical epoch is still fully queryable.
-        for (e, pin) in pins.iter().enumerate() {
-            assert_eq!(pin.epoch(), e as u64);
-            assert_eq!(pin.len(), 100 + 3 * e);
-            assert_eq!(pin.range_count(&world()), 100 + 3 * e);
-        }
-    }
-
-    #[test]
-    fn left_right_writer_parks_and_wakes_on_pin_drop() {
-        // A stale view held longer than the spin budget forces the writer
-        // onto the condvar path; dropping the view must wake it promptly.
-        let router = Arc::new(router(&named_factory("pkd"), &pts(0..100), &world(), 1));
-        assert!(!router.is_persistent());
-        router.publish(&[], &pts(100..110)); // epoch 1; standby = epoch-0 copy
-        let stale = router.pin(); // pins epoch 1 (next publish's standby)
-        router.publish(&[], &pts(110..120)); // epoch 2; standby = epoch-1 copy, held by `stale`
-
-        let writer = {
-            let router = Arc::clone(&router);
-            std::thread::spawn(move || router.publish(&[], &pts(120..130)))
-        };
-        // Give the writer time to exhaust its spin budget and park.
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!writer.is_finished(), "writer must wait for the stale view");
-        drop(stale);
-        assert_eq!(writer.join().unwrap(), 3);
-        assert_eq!(router.len(), 130);
     }
 
     #[test]
@@ -958,7 +944,6 @@ mod tests {
         let universe = workloads::universe::<2>(max);
         let data = workloads::uniform::<2>(2_000, max, 13);
         let router = Router::new(&named_factory("cpam-h"), &data, &universe, &cfg(2, 4, 0), 0);
-        assert!(router.is_persistent());
         assert_eq!(router.epoch(), 0);
         assert_eq!(router.epoch_bounds(), Some((0, 0)));
         assert_eq!(router.pin_at(0).unwrap().len(), data.len());
@@ -1044,19 +1029,6 @@ mod tests {
         assert_eq!(router.pin_at(18).unwrap().epoch(), 18);
         assert_eq!(router.pin_at(17).unwrap().epoch(), 17);
         assert!(router.pin_at(16).is_none());
-    }
-
-    #[test]
-    fn left_right_router_keeps_no_history() {
-        let max = 40_000;
-        let universe = workloads::universe::<2>(max);
-        let data = workloads::uniform::<2>(1_000, max, 29);
-        let router = router(&named_factory("pkd"), &data, &universe, 2);
-        assert!(!router.is_persistent());
-        router.publish(&[], &data[..10]);
-        assert_eq!(router.epoch(), 1);
-        assert!(router.epoch_bounds().is_none());
-        assert!(router.pin_at(0).is_none() && router.pin_at(1).is_none());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::Entry;
 use psi_geometry::{PointI, Rect, RectI};
+pub use psi_parutils::cow::unshare;
 use psi_parutils::stats::counters;
 use psi_sfc::SfcCurve;
 use std::sync::Arc;
@@ -137,19 +138,6 @@ impl<const D: usize> Clone for PNode<D> {
             },
         }
     }
-}
-
-/// Take ownership of a child for mutation. Uniquely-owned nodes move out for
-/// free (`Arc::try_unwrap` — the no-snapshot fast path); shared nodes are
-/// shallow-cloned (copy-on-write), leaving every snapshot that still
-/// references the original untouched. The clone is counted so the benches and
-/// the structural-sharing tests can assert spine-only copying.
-#[inline]
-pub fn unshare<const D: usize>(node: Arc<PNode<D>>) -> PNode<D> {
-    Arc::try_unwrap(node).unwrap_or_else(|shared| {
-        counters::NODES_COPIED.bump();
-        (*shared).clone()
-    })
 }
 
 impl<const D: usize> PNode<D> {

@@ -26,10 +26,11 @@
 //! ```
 
 use psi_geometry::{Coord, KnnHeap, PointI, Rect, RectI};
-use psi_parutils::par_sort_by_key;
 use psi_parutils::stats::counters;
+use psi_parutils::{cow, par_sort_by_key};
 use psi_sfc::{bits_per_dim, MortonCurve, SfcCurve};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// An entry: Morton code plus the point.
 type Entry<const D: usize> = (u64, PointI<D>);
@@ -47,20 +48,32 @@ impl Default for ZdConfig {
     }
 }
 
+/// A Zd-tree node. Persistent by path copying, the same layout as the P-Orth
+/// tree's: an internal node's children live inline in one `Arc`-shared array
+/// and leaf entries are `Arc`-shared, so cloning a node is O(1). Updates copy
+/// only the child arrays on the paths their batch reaches and replace the
+/// leaves they rebuild.
+#[derive(Clone)]
 enum Node<const D: usize> {
     Leaf {
-        entries: Vec<Entry<D>>,
+        entries: Arc<[Entry<D>]>,
         bbox: RectI<D>,
     },
     Internal {
         /// Positional children, one per Morton quadrant/octant at this level.
-        children: Vec<Node<D>>,
+        children: Arc<[Node<D>]>,
         size: usize,
         bbox: RectI<D>,
     },
 }
 
 impl<const D: usize> Node<D> {
+    fn leaf(entries: &[Entry<D>]) -> Self {
+        Node::Leaf {
+            entries: entries.into(),
+            bbox: bbox_of(entries),
+        }
+    }
     fn size(&self) -> usize {
         match self {
             Node::Leaf { entries, .. } => entries.len(),
@@ -85,7 +98,7 @@ impl<const D: usize> Node<D> {
         match self {
             Node::Leaf { entries, .. } => out.extend_from_slice(entries),
             Node::Internal { children, .. } => {
-                for c in children {
+                for c in children.iter() {
                     c.collect_entries(out);
                 }
             }
@@ -128,137 +141,117 @@ fn bbox_of<const D: usize>(entries: &[Entry<D>]) -> RectI<D> {
 fn build_rec<const D: usize>(entries: &[Entry<D>], level: u32, cfg: &ZdConfig) -> Node<D> {
     let n = entries.len();
     if n <= cfg.leaf_cap || level_exhausted::<D>(level) {
-        return Node::Leaf {
-            entries: entries.to_vec(),
-            bbox: bbox_of(entries),
-        };
+        return Node::leaf(entries);
     }
     // Split the sorted code range into 2^D contiguous child ranges by binary
     // search on the child index of this level.
+    let bounds = child_bounds::<D>(entries, level);
+    let children: Arc<[Node<D>]> = (0..1usize << D)
+        .into_par_iter()
+        .map(|c| build_rec(&entries[bounds[c]..bounds[c + 1]], level + 1, cfg))
+        .collect::<Vec<_>>()
+        .into();
+    Node::Internal {
+        bbox: merged_bbox(&children),
+        children,
+        size: n,
+    }
+}
+
+/// Offsets splitting a code-sorted slice into the `2^D` child ranges of
+/// `level`: child `c` gets `entries[bounds[c]..bounds[c + 1]]`.
+fn child_bounds<const D: usize>(entries: &[Entry<D>], level: u32) -> Vec<usize> {
     let fanout = 1usize << D;
     let mut bounds = Vec::with_capacity(fanout + 1);
     bounds.push(0usize);
     for c in 1..fanout {
-        let idx = entries.partition_point(|e| child_of::<D>(e.0, level) < c);
-        bounds.push(idx);
+        bounds.push(entries.partition_point(|e| child_of::<D>(e.0, level) < c));
     }
-    bounds.push(n);
+    bounds.push(entries.len());
+    bounds
+}
 
-    let children: Vec<Node<D>> = (0..fanout)
-        .into_par_iter()
-        .map(|c| build_rec(&entries[bounds[c]..bounds[c + 1]], level + 1, cfg))
-        .collect();
+/// Recurse into the children of an internal node, in parallel, on the
+/// non-empty child ranges of `batch`. The child array is copied first only
+/// while a snapshot shares it; children whose range is empty are untouched.
+fn update_children<const D: usize>(
+    children: &mut Arc<[Node<D>]>,
+    batch: &[Entry<D>],
+    level: u32,
+    update: impl Fn(&mut Node<D>, &[Entry<D>]) + Sync,
+) {
+    let bounds = child_bounds::<D>(batch, level);
+    cow::make_mut_slice(children)
+        .par_iter_mut()
+        .enumerate()
+        .for_each(|(c, child)| update(child, &batch[bounds[c]..bounds[c + 1]]));
+}
+
+fn merged_bbox<const D: usize>(children: &[Node<D>]) -> RectI<D> {
     let mut bbox = Rect::empty();
-    for c in &children {
+    for c in children {
         bbox = bbox.merged(c.bbox());
     }
-    Node::Internal {
-        children,
-        size: n,
-        bbox,
-    }
+    bbox
 }
 
-fn insert_rec<const D: usize>(
-    node: Node<D>,
-    batch: &[Entry<D>],
-    level: u32,
-    cfg: &ZdConfig,
-) -> Node<D> {
+fn insert_rec<const D: usize>(node: &mut Node<D>, batch: &[Entry<D>], level: u32, cfg: &ZdConfig) {
     if batch.is_empty() {
-        return node;
+        return;
     }
     match node {
-        Node::Leaf { mut entries, .. } => {
-            entries.extend_from_slice(batch);
-            entries.sort_unstable_by_key(|e| e.0);
-            build_rec(&entries, level, cfg)
+        Node::Leaf { entries, .. } => {
+            let mut all = Vec::with_capacity(entries.len() + batch.len());
+            all.extend_from_slice(entries);
+            all.extend_from_slice(batch);
+            all.sort_unstable_by_key(|e| e.0);
+            *node = build_rec(&all, level, cfg);
         }
         Node::Internal {
-            mut children, size, ..
+            children,
+            size,
+            bbox,
         } => {
-            let fanout = 1usize << D;
-            let mut bounds = Vec::with_capacity(fanout + 1);
-            bounds.push(0usize);
-            for c in 1..fanout {
-                bounds.push(batch.partition_point(|e| child_of::<D>(e.0, level) < c));
-            }
-            bounds.push(batch.len());
-            let new_children: Vec<Node<D>> = children
-                .drain(..)
-                .zip(0..fanout)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|(child, c)| {
-                    insert_rec(child, &batch[bounds[c]..bounds[c + 1]], level + 1, cfg)
-                })
-                .collect();
-            let mut bbox = Rect::empty();
-            for c in &new_children {
-                bbox = bbox.merged(c.bbox());
-            }
-            Node::Internal {
-                children: new_children,
-                size: size + batch.len(),
-                bbox,
-            }
+            update_children(children, batch, level, |child, part| {
+                insert_rec(child, part, level + 1, cfg)
+            });
+            *size += batch.len();
+            *bbox = merged_bbox(children);
         }
     }
 }
 
-fn delete_rec<const D: usize>(
-    node: Node<D>,
-    batch: &[Entry<D>],
-    level: u32,
-    cfg: &ZdConfig,
-) -> Node<D> {
+fn delete_rec<const D: usize>(node: &mut Node<D>, batch: &[Entry<D>], level: u32, cfg: &ZdConfig) {
     if batch.is_empty() {
-        return node;
+        return;
     }
     match node {
-        Node::Leaf { mut entries, .. } => {
-            remove_multiset(&mut entries, batch);
-            let bbox = bbox_of(&entries);
-            Node::Leaf { entries, bbox }
+        Node::Leaf { entries, .. } => {
+            let mut kept = entries.to_vec();
+            remove_multiset(&mut kept, batch);
+            *node = Node::leaf(&kept);
         }
-        Node::Internal { mut children, .. } => {
-            let fanout = 1usize << D;
-            let mut bounds = Vec::with_capacity(fanout + 1);
-            bounds.push(0usize);
-            for c in 1..fanout {
-                bounds.push(batch.partition_point(|e| child_of::<D>(e.0, level) < c));
-            }
-            bounds.push(batch.len());
-            let new_children: Vec<Node<D>> = children
-                .drain(..)
-                .zip(0..fanout)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|(child, c)| {
-                    delete_rec(child, &batch[bounds[c]..bounds[c + 1]], level + 1, cfg)
-                })
-                .collect();
-            let size: usize = new_children.iter().map(|c| c.size()).sum();
-            if size <= cfg.leaf_cap {
+        Node::Internal {
+            children,
+            size,
+            bbox,
+        } => {
+            update_children(children, batch, level, |child, part| {
+                delete_rec(child, part, level + 1, cfg)
+            });
+            *size = children.iter().map(|c| c.size()).sum();
+            if *size <= cfg.leaf_cap {
                 // Flatten ancestors that shrank below the wrap, as in all
                 // Orth-tree deletions.
-                let mut entries = Vec::with_capacity(size);
-                for c in &new_children {
+                let mut entries = Vec::with_capacity(*size);
+                for c in children.iter() {
                     c.collect_entries(&mut entries);
                 }
                 entries.sort_unstable_by_key(|e| e.0);
-                let bbox = bbox_of(&entries);
-                return Node::Leaf { entries, bbox };
+                *node = Node::leaf(&entries);
+                return;
             }
-            let mut bbox = Rect::empty();
-            for c in &new_children {
-                bbox = bbox.merged(c.bbox());
-            }
-            Node::Internal {
-                children: new_children,
-                size,
-                bbox,
-            }
+            *bbox = merged_bbox(children);
         }
     }
 }
@@ -330,6 +323,16 @@ where
         entries.into_iter().map(|e| e.1).collect()
     }
 
+    /// An O(1) **persistent snapshot**: a second tree sharing every node with
+    /// this one. Later updates through either handle path-copy only the child
+    /// arrays their batch reaches, so the snapshot never changes.
+    pub fn snapshot(&self) -> Self {
+        ZdTree {
+            root: self.root.clone(),
+            cfg: self.cfg,
+        }
+    }
+
     /// Batch insertion: encode + sort the batch, then merge it down the tree.
     pub fn batch_insert(&mut self, points: &[PointI<D>]) {
         if points.is_empty() {
@@ -340,14 +343,7 @@ where
             .map(|p| (<MortonCurve as SfcCurve<D>>::encode(p), *p))
             .collect();
         par_sort_by_key(&mut batch, |e| (e.0, e.1));
-        let root = std::mem::replace(
-            &mut self.root,
-            Node::Leaf {
-                entries: Vec::new(),
-                bbox: Rect::empty(),
-            },
-        );
-        self.root = insert_rec(root, &batch, 0, &self.cfg);
+        insert_rec(&mut self.root, &batch, 0, &self.cfg);
     }
 
     /// Batch deletion (multiset semantics); returns the number removed.
@@ -361,14 +357,7 @@ where
             .map(|p| (<MortonCurve as SfcCurve<D>>::encode(p), *p))
             .collect();
         par_sort_by_key(&mut batch, |e| (e.0, e.1));
-        let root = std::mem::replace(
-            &mut self.root,
-            Node::Leaf {
-                entries: Vec::new(),
-                bbox: Rect::empty(),
-            },
-        );
-        self.root = delete_rec(root, &batch, 0, &self.cfg);
+        delete_rec(&mut self.root, &batch, 0, &self.cfg);
         before - self.len()
     }
 
@@ -423,7 +412,7 @@ where
             match node {
                 Node::Leaf { entries, bbox } => {
                     assert_eq!(*bbox, bbox_of(entries), "leaf bbox mismatch");
-                    for (code, p) in entries {
+                    for (code, p) in entries.iter() {
                         assert_eq!(*code, <MortonCurve as SfcCurve<D>>::encode(p));
                     }
                     entries.len()
@@ -465,7 +454,7 @@ fn knn_rec<const D: usize>(node: &Node<D>, q: &PointI<D>, heap: &mut KnnHeap<i64
     counters::NODES_VISITED.bump();
     match node {
         Node::Leaf { entries, .. } => {
-            for (_, p) in entries {
+            for (_, p) in entries.iter() {
                 heap.offer_point(q, *p);
             }
         }
@@ -525,7 +514,7 @@ fn range_visit<const D: usize>(
             }
         }
         Node::Internal { children, .. } => {
-            for c in children {
+            for c in children.iter() {
                 range_visit(c, rect, visitor);
             }
         }
@@ -535,12 +524,12 @@ fn range_visit<const D: usize>(
 fn visit_all<const D: usize>(node: &Node<D>, visitor: &mut dyn FnMut(&PointI<D>)) {
     match node {
         Node::Leaf { entries, .. } => {
-            for (_, p) in entries {
+            for (_, p) in entries.iter() {
                 visitor(p);
             }
         }
         Node::Internal { children, .. } => {
-            for c in children {
+            for c in children.iter() {
                 visit_all(c, visitor);
             }
         }

@@ -1,6 +1,13 @@
-//! Property tests for the persistent (copy-on-write) PaC-tree backbone:
-//! after `snapshot()`, **no mutation of the live tree may ever write a node
-//! the snapshot can reach**. The audit is structural, not behavioural — it
+//! Property tests for the persistent (path-copying) index backbones.
+//!
+//! Every registry family, `i64` and `f64`, runs one behavioural battery:
+//! after `snapshot_dyn()`, random `batch_diff`s on the live index must leave
+//! the snapshot's stored multiset, its kNN and range answers and its
+//! invariants exactly as they were.
+//!
+//! The PaC-tree families also get a structural audit: after `snapshot()`,
+//! **no mutation of the live tree may ever write a node the snapshot can
+//! reach**. The audit is structural, not behavioural — it
 //! walks the snapshot's `Arc`-held node graph, records every heap address
 //! with a content fingerprint (child addresses included), and re-walks after
 //! each live mutation: an in-place write to a shared node changes a
@@ -9,8 +16,9 @@
 //! pass vacuously.
 
 use proptest::prelude::*;
+use psi::registry::{self, BuildOptions, DynIndex};
 use psi::{CpamHTree, SpacHTree};
-use psi_geometry::{Point, PointI};
+use psi_geometry::{Coord, Point, PointI, Rect};
 use psi_spac::PNode;
 use psi_workloads as workloads;
 use std::collections::BTreeMap;
@@ -200,6 +208,119 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..10),
     ) {
         persistence_audit!(SpacHTree<2>, &initial, &ops);
+    }
+}
+
+/// What a snapshot stores and answers: its sorted multiset, then per fixed
+/// query its kNN (k = 5), range count and sorted range list.
+type Answers<T> = (
+    Vec<Point<T, 2>>,
+    Vec<Vec<Point<T, 2>>>,
+    Vec<usize>,
+    Vec<Vec<Point<T, 2>>>,
+);
+
+fn answers<T: Coord>(index: &dyn DynIndex<T, 2>, at: fn(i64) -> T) -> Answers<T> {
+    index.check_invariants();
+    let p = |x: i64, y: i64| Point::new([at(x), at(y)]);
+    let queries = [
+        p(0, 0),
+        p(MAX / 2, MAX / 2),
+        p(MAX, 0),
+        p(MAX / 3, 2 * MAX / 3),
+    ];
+    let rects = [
+        Rect::new(p(0, 0), p(MAX / 2, MAX / 2)),
+        Rect::new(p(MAX / 4, MAX / 4), p(3 * MAX / 4, 3 * MAX / 4)),
+        Rect::new(p(0, 0), p(MAX, MAX)),
+    ];
+    let mut all = Vec::new();
+    index.extract_points(&mut all);
+    all.sort();
+    let lists = rects
+        .iter()
+        .map(|r| {
+            let mut l = index.range_list(r);
+            l.sort();
+            l
+        })
+        .collect();
+    (
+        all,
+        queries.iter().map(|q| index.knn(q, 5)).collect(),
+        rects.iter().map(|r| index.range_count(r)).collect(),
+        lists,
+    )
+}
+
+/// One `batch_diff`: the fraction-addressed slice `a/256 .. (a+b)/256` of
+/// the live contents to delete, and fresh points to insert.
+type DiffOp = (u8, u8, Vec<(i64, i64)>);
+
+/// Snapshot `family` before every `batch_diff` of `ops` and check, after
+/// each, that no snapshot taken so far stores or answers anything new.
+fn snapshot_immunity<T: Coord>(
+    family: &str,
+    live: &mut dyn DynIndex<T, 2>,
+    mut contents: Vec<Point<T, 2>>,
+    ops: &[DiffOp],
+    at: fn(i64) -> T,
+) {
+    let mut frozen: Vec<(Box<dyn DynIndex<T, 2>>, Answers<T>)> = Vec::new();
+    for (a, b, raw) in ops {
+        let snap = live.snapshot_dyn();
+        let seen = answers(&*snap, at);
+        frozen.push((snap, seen));
+
+        let start = (*a as usize * contents.len()) / 256;
+        let len = ((*b as usize * contents.len()) / 256).min(contents.len() - start);
+        let victims: Vec<Point<T, 2>> = contents.drain(start..start + len).collect();
+        let fresh: Vec<Point<T, 2>> = raw
+            .iter()
+            .map(|&(x, y)| Point::new([at(x), at(y)]))
+            .collect();
+        assert_eq!(
+            live.batch_diff(&victims, &fresh),
+            victims.len(),
+            "{}",
+            family
+        );
+        contents.extend_from_slice(&fresh);
+        assert_eq!(live.len(), contents.len(), "{}", family);
+
+        for (snap, seen) in &frozen {
+            assert!(
+                answers(&**snap, at) == *seen,
+                "{}: a live batch_diff changed a snapshot",
+                family
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn every_family_snapshot_is_immune_to_live_batch_diffs(
+        initial in proptest::collection::vec(point_strategy(), 0..300),
+        ops in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), proptest::collection::vec(point_strategy(), 0..60)),
+            1..8,
+        ),
+    ) {
+        let opts = BuildOptions::default();
+        let ints = to_points(&initial);
+        for &family in registry::names() {
+            let mut live = registry::create::<2>(family, &ints, &opts).unwrap();
+            snapshot_immunity(family, &mut *live, ints.clone(), &ops, |x| x);
+        }
+        let floats: Vec<Point<f64, 2>> =
+            ints.iter().map(|p| Point::new(p.coords.map(|c| c as f64))).collect();
+        for &family in registry::float_names() {
+            let mut live = registry::create_f64::<2>(family, &floats, &BuildOptions::default()).unwrap();
+            snapshot_immunity(family, &mut *live, floats.clone(), &ops, |x| x as f64);
+        }
     }
 }
 

@@ -567,8 +567,8 @@ fn cut_crossing_moves_never_tear() {
     cut_crossing_battery("p-orth");
 }
 
-/// Time-travel goldens: a persistent (CPAM) router retains a bounded window
-/// of global epochs, and "query as of epoch N" must answer **bit-identical**
+/// Time-travel goldens: every family's router retains a bounded window of
+/// global epochs, and "query as of epoch N" must answer **bit-identical**
 /// to the offline replica of epoch N — the same golden-checksum oracle the
 /// live battery uses — while everything outside the window is gone.
 #[test]
@@ -581,31 +581,39 @@ fn persistent_time_travel_matches_per_epoch_goldens() {
     let universe = workloads::universe::<2>(max);
     let k = 6;
 
-    let factory = i64_factory("cpam-h", Some(32));
-    let goldens = golden_epochs(&factory, &data, &batches, &queries, &rects, k);
-    let cfg = ServeConfig {
-        epoch_history: 8,
-        ..Default::default()
-    };
-    let router = Router::new(&factory, &data, &universe, &cfg, 0);
-    assert!(router.is_persistent(), "cpam-h serves persistent snapshots");
-    for (del, ins) in &batches {
-        router.publish(del, ins);
-    }
+    for &family in registry::names() {
+        let factory = i64_factory(family, Some(32));
+        let goldens = golden_epochs(&factory, &data, &batches, &queries, &rects, k);
+        let cfg = ServeConfig {
+            epoch_history: 8,
+            ..Default::default()
+        };
+        let router = Router::new(&factory, &data, &universe, &cfg, 0);
+        for (del, ins) in &batches {
+            router.publish(del, ins);
+        }
 
-    // 13 states (epoch 0 + 12 publishes), window of 8: epochs 5..=12 stay.
-    assert_eq!(router.epoch_bounds(), Some((5, 12)), "eviction bound");
-    for e in 0..5u64 {
-        assert!(router.pin_at(e).is_none(), "epoch {e} must be evicted");
-    }
-    assert!(router.pin_at(13).is_none(), "future epoch");
-    for e in 5..=12u64 {
-        let view = router.pin_at(e).expect("epoch inside the window");
-        let got = answers_checksum(view.snapshot(0).index(), &queries, &rects, k);
+        // 13 states (epoch 0 + 12 publishes), window of 8: epochs 5..=12 stay.
         assert_eq!(
-            got, goldens[e as usize],
-            "time-travel answers for epoch {e} drifted from the golden"
+            router.epoch_bounds(),
+            Some((5, 12)),
+            "{family}: eviction bound"
         );
+        for e in 0..5u64 {
+            assert!(
+                router.pin_at(e).is_none(),
+                "{family}: epoch {e} must be evicted"
+            );
+        }
+        assert!(router.pin_at(13).is_none(), "{family}: future epoch");
+        for e in 5..=12u64 {
+            let view = router.pin_at(e).expect("epoch inside the window");
+            let got = answers_checksum(view.snapshot(0).index(), &queries, &rects, k);
+            assert_eq!(
+                got, goldens[e as usize],
+                "{family}: time-travel answers for epoch {e} drifted from the golden"
+            );
+        }
     }
 }
 
@@ -615,6 +623,13 @@ fn persistent_time_travel_matches_per_epoch_goldens() {
 /// usable.
 #[test]
 fn time_travel_over_the_socket_matches_in_process() {
+    // cpam-h and pkd, psi-netd's default family.
+    for family in ["cpam-h", "pkd"] {
+        time_travel_over_the_socket(family);
+    }
+}
+
+fn time_travel_over_the_socket(family: &'static str) {
     use psi_net::client::WireClient;
     use psi_net::{loopback, NetConfig, NetServer};
     use psi_server::{PsiServer, ServeConfig};
@@ -630,7 +645,7 @@ fn time_travel_over_the_socket_matches_in_process() {
             epoch_history: 4,
             ..Default::default()
         },
-        i64_factory("cpam-h", None),
+        i64_factory(family, None),
     ));
     for r in 0..6usize {
         let del = data[r * 40..r * 40 + 40].to_vec();
@@ -654,13 +669,16 @@ fn time_travel_over_the_socket_matches_in_process() {
                 .knn_at(q, k, e)
                 .expect("I/O")
                 .expect("epoch inside the window");
-            assert_eq!(&got, want, "socket knn@{e} differs from in-process");
+            assert_eq!(
+                &got, want,
+                "{family}: socket knn@{e} differs from in-process"
+            );
         }
         for rect in &rects {
             assert_eq!(
                 client.range_count_at(rect, e).expect("I/O"),
                 Some(view.range_count(rect)),
-                "socket range_count@{e}"
+                "{family}: socket range_count@{e}"
             );
             let mut got = client
                 .range_list_at(rect, e)
@@ -669,7 +687,7 @@ fn time_travel_over_the_socket_matches_in_process() {
             let mut want = view.range_list(rect);
             got.sort_unstable();
             want.sort_unstable();
-            assert_eq!(got, want, "socket range_list@{e}");
+            assert_eq!(got, want, "{family}: socket range_list@{e}");
         }
     }
     // Evicted / future epochs: ERR_EPOCH is per-request, not fatal.
