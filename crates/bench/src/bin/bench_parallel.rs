@@ -1,5 +1,5 @@
-//! Parallel throughput sweep — batch queries (PR 2) **and** index
-//! construction (PR 4, the pool-native fork-join executor).
+//! Parallel throughput sweep — batch queries, index construction and batch
+//! updates.
 //!
 //! For every index family in the runtime registry, this binary
 //!
@@ -8,13 +8,16 @@
 //!    throughput table to `BENCH_parallel.json` (see `--out`), and
 //! 2. runs the family's full **construction** (`registry::create`, i.e.
 //!    `build_with` under the hood — the deep fork-join recursions the
-//!    task-deque executor exists for) under the same thread counts and
-//!    writes `BENCH_build.json` (see `--build-out`).
+//!    task-deque executor exists for) under the same thread counts, then
+//!    one **update round** on the built index (a [`UPDATE_BATCH`]-point
+//!    `batch_delete` followed by as large a `batch_insert`), and writes both to
+//!    `BENCH_build.json` (see `--build-out`).
 //!
 //! Every thread count must produce **bit-identical** query answers to the
-//! single-thread run — for the construction sweep the built index is probed
-//! and its answers compared, so a scheduling-dependent build would fail the
-//! binary, not just skew a number. Thread counts above the machine's core
+//! single-thread run — after the build and again after the update rounds
+//! the index is probed (kNN, and `range_list` compared in order) and its
+//! answers compared, so a scheduling-dependent build or update fails the
+//! binary, not just skews a number. Thread counts above the machine's core
 //! count still run (the shim pool oversubscribes, as upstream rayon does)
 //! but cannot show real speedup.
 //!
@@ -47,6 +50,11 @@ fn thread_counts() -> Vec<usize> {
     counts.dedup();
     counts
 }
+
+/// Points one update round deletes and inserts: above the sequential grain
+/// ([`psi_parutils::SEQ_THRESHOLD`], 2 048) so the update recursions fork
+/// at their top levels, which is the parallel path the sweep is there to time.
+const UPDATE_BATCH: usize = 5_000;
 
 /// Best-of-`reps` wall-clock of `op`, with one untimed warmup.
 fn time_best<R>(reps: usize, mut op: impl FnMut() -> R) -> (f64, R) {
@@ -205,57 +213,95 @@ fn main() {
     println!("# wrote {out_path}");
 
     // ---------------------------------------------------------------------
-    // Construction sweep: full `build_with` per family per thread count —
-    // the deep fork-join recursions the task-deque executor accelerates.
+    // Construction + update sweep: full `build_with` per family per thread
+    // count — the deep fork-join recursions the task-deque executor
+    // accelerates — then update rounds on the built index. A round deletes
+    // `UPDATE_BATCH` points and inserts as many fresh ones; rounds alternate
+    // which of the two sets they delete, so every round starts from n
+    // points and every thread count applies the same sequence.
     // ---------------------------------------------------------------------
     let probe_queries = &qs.knn_ind[..qs.knn_ind.len().min(1_000)];
+    let probe_ranges = &qs.ranges[..qs.ranges.len().min(200)];
+    let moved = UPDATE_BATCH.min(cfg.n);
+    let sample = &data[..moved];
+    let fresh = workloads::uniform::<2>(moved, cfg.max_coord, cfg.seed ^ 0x5eed);
     let mut build_blocks: Vec<String> = Vec::new();
     for &name in registry::names() {
-        let mut samples: Vec<Sample> = Vec::new();
+        let mut build_samples: Vec<Sample> = Vec::new();
+        let mut update_samples: Vec<Sample> = Vec::new();
         let mut reference = None;
         let mut identical = true;
         for &t in &counts {
-            let (secs, index) = with_pool(t, || {
+            let (build_secs, mut index) = with_pool(t, || {
                 time_best(reps, || {
                     registry::create::<2>(name, &data, &opts).expect("registry families all build")
                 })
             });
             // A build must be deterministic across thread counts: probe the
             // built structure and require identical answers.
-            let probe = index.knn_batch(probe_queries, cfg.k);
+            let built = index.knn_batch(probe_queries, cfg.k);
+            let (update_secs, _) = with_pool(t, || {
+                let mut flip = false;
+                time_best(reps, || {
+                    let (delete, insert) = if flip {
+                        (&fresh[..], sample)
+                    } else {
+                        (sample, &fresh[..])
+                    };
+                    flip = !flip;
+                    index.batch_delete(delete);
+                    index.batch_insert(insert);
+                })
+            });
+            let probe = (
+                built,
+                index.len(),
+                index.knn_batch(probe_queries, cfg.k),
+                index.range_list_batch(probe_ranges),
+            );
             match &reference {
                 None => reference = Some(probe),
                 Some(r) => identical &= *r == probe,
             }
-            samples.push(Sample {
+            build_samples.push(Sample {
                 threads: t,
-                secs,
-                qps: cfg.n as f64 / secs,
+                secs: build_secs,
+                qps: cfg.n as f64 / build_secs,
+            });
+            update_samples.push(Sample {
+                threads: t,
+                secs: update_secs,
+                qps: (2 * moved) as f64 / update_secs,
             });
             println!(
-                "{:<12} threads={:<3} build={:>9.4}s ({:>12.0} points/s)",
+                "{:<12} threads={:<3} build={:>9.4}s ({:>12.0} points/s)  update={:>9.4}s ({:>12.0} points/s)",
                 name,
                 t,
-                secs,
-                cfg.n as f64 / secs,
+                build_secs,
+                cfg.n as f64 / build_secs,
+                update_secs,
+                (2 * moved) as f64 / update_secs,
             );
         }
         assert!(
             identical,
-            "{name}: builds must answer identically across thread counts"
+            "{name}: builds and updates must answer identically across thread counts"
         );
         build_blocks.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"build\": {},\n      \"speedup_build_best_vs_1\": {:.2},\n      \"identical_across_threads\": true\n    }}",
+            "    {{\n      \"name\": \"{}\",\n      \"build\": {},\n      \"update\": {},\n      \"speedup_build_best_vs_1\": {:.2},\n      \"speedup_update_best_vs_1\": {:.2},\n      \"identical_across_threads\": true\n    }}",
             name,
-            json_samples(&samples),
-            speedup(&samples),
+            json_samples(&build_samples),
+            json_samples(&update_samples),
+            speedup(&build_samples),
+            speedup(&update_samples),
         ));
     }
 
     let build_json = format!(
-        "{{\n  \"bench\": \"parallel_construction\",\n  {},\n  \"n\": {},\n  \"reps\": {},\n  \"note\": \"best-of-reps wall clock of registry::create (full build_with); qps = points indexed per second; thread counts above machine_threads oversubscribe and cannot speed up\",\n  \"indexes\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"parallel_construction_and_update\",\n  {},\n  \"n\": {},\n  \"update_points_moved\": {},\n  \"reps\": {},\n  \"note\": \"best-of-reps wall clock; build = registry::create (full build_with), qps = points indexed per second; update = one round of batch_delete of update_points_moved points then batch_insert of as many, qps = points deleted + inserted per second; thread counts above machine_threads oversubscribe and cannot speed up\",\n  \"indexes\": [\n{}\n  ]\n}}\n",
         psi_bench::host_meta_json(),
         cfg.n,
+        moved,
         reps,
         build_blocks.join(",\n")
     );

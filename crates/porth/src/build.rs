@@ -7,7 +7,8 @@
 //! 2. **sieve** the points so every skeleton bucket becomes a contiguous slice
 //!    (one read + one write of the data, the step that replaces "sort by
 //!    Morton code"),
-//! 3. recurse on every non-trivial bucket in parallel,
+//! 3. recurse on every non-trivial bucket, in parallel above
+//!    [`SEQ_THRESHOLD`] points and sequentially below it,
 //! 4. assemble the skeleton's internal nodes bottom-up, computing sizes and
 //!    bounding boxes, and flatten any subtree that ended up no larger than the
 //!    leaf wrap `φ`.
@@ -15,8 +16,8 @@
 use crate::node::{child_index, child_region, Node};
 use crate::POrthConfig;
 use psi_geometry::{Coord, Point, Rect};
-use psi_parutils::sieve_by;
 use psi_parutils::stats::counters;
+use psi_parutils::{sieve_by, SEQ_THRESHOLD};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -47,22 +48,31 @@ pub fn build_orth<T: Coord, const D: usize>(
     let offsets = sieve_by(points, num_buckets, |p| bucket_of(p, region, levels));
     counters::POINTS_MOVED.add(n as u64);
 
-    // Recurse on each bucket in parallel.
-    let mut slices: Vec<&mut [Point<T, D>]> = Vec::with_capacity(num_buckets);
-    let mut rest = points;
-    for w in offsets.windows(2) {
-        let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-        slices.push(head);
-        rest = tail;
-    }
-    let subtrees: Vec<Node<T, D>> = slices
-        .into_par_iter()
-        .zip(regions.par_iter())
-        .map(|(slice, reg)| build_orth(slice, reg, cfg, depth + levels))
-        .collect();
+    // Recurse on each bucket, in parallel when the input is large enough to
+    // pay for the forks.
+    let slices = split_buckets(points, &offsets);
+    let recurse = |(i, slice): (usize, &mut [Point<T, D>])| {
+        build_orth(slice, &regions[i], cfg, depth + levels)
+    };
+    let subtrees: Vec<Node<T, D>> = if n > SEQ_THRESHOLD {
+        slices.into_par_iter().enumerate().map(recurse).collect()
+    } else {
+        slices.into_iter().enumerate().map(recurse).collect()
+    };
 
     // Assemble the skeleton bottom-up, flattening small subtrees.
     assemble(subtrees, levels, cfg)
+}
+
+/// The buckets of a sieved slice, `offsets` being what [`sieve_by`] returned.
+pub fn split_buckets<'a, P>(points: &'a mut [P], offsets: &[usize]) -> Vec<&'a mut [P]> {
+    let mut rest = points;
+    let split = |w: &[usize]| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+        rest = tail;
+        head
+    };
+    offsets.windows(2).map(split).collect()
 }
 
 /// Number of levels to build in this round: the configured `λ`, reduced when

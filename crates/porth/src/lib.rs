@@ -188,8 +188,9 @@ impl<T: Coord, const D: usize> POrthTree<T, D> {
     }
 
     /// Batch insertion (Alg. 2). Points outside the current root region force a
-    /// rebuild with an enlarged region; in-region points are sieved down the
-    /// existing structure in parallel.
+    /// rebuild with an enlarged region; in-region points are split down the
+    /// existing structure orthant by orthant, in parallel where the batch is
+    /// large.
     pub fn batch_insert(&mut self, points: &[Point<T, D>]) {
         if points.is_empty() {
             return;

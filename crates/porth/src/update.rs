@@ -1,25 +1,27 @@
 //! Batch insertion and deletion for the P-Orth tree (Alg. 2 and its symmetric
 //! deletion variant).
 //!
-//! Updates reuse the construction machinery: the batch is sieved into the
-//! orthants of the current node and the orthants are processed recursively in
-//! parallel. No rebalancing ever happens — the shape of an Orth-tree depends
-//! only on which points it stores — so the only structural maintenance is
-//! re-wrapping leaves (rebuilding a leaf that overflows `φ` on insertion, and
-//! flattening a subtree that shrinks to at most `φ` points on deletion).
-//!
-//! Both recursions path-copy: an internal node the batch reaches takes its
-//! child array through [`cow::make_mut_slice`], which copies the array only
-//! while a snapshot shares it; orthants the batch misses return at once and
-//! stay shared, and a reached leaf is replaced by a rebuilt one, never edited.
+//! Both push the batch down through [`for_each_orthant`], which splits it
+//! stably into a node's `2^D` orthants and recurses into the children. As in
+//! construction the work is sized to the batch: above [`SEQ_THRESHOLD`]
+//! points the split is a parallel sieve and the orthants recurse in
+//! parallel; below it the orthants recurse in turn, a fork costing more
+//! than their work, and the split is a stable sort on the orthant index,
+//! which allocates nothing for the handful of points that reach most nodes.
+//! No rebalancing happens, as the shape depends only on the stored points:
+//! an overflowing leaf is rebuilt, a subtree shrunk to `φ` is flattened.
+//! Both recursions path-copy ([`cow::make_mut_slice`] copies a reached child
+//! array only while a snapshot shares it); a reached leaf is rebuilt, never
+//! edited, and orthants the batch misses stay shared.
 
-use crate::build::{build_orth, make_internal};
+use crate::build::{build_orth, make_internal, split_buckets};
 use crate::node::{child_index, child_region, Node};
 use crate::POrthConfig;
-use psi_geometry::{Coord, Point, Rect};
+use psi_geometry::{Coord, LeafSoA, Point, Rect};
 use psi_parutils::stats::counters;
-use psi_parutils::{cow, sieve_by};
+use psi_parutils::{cow, sieve_by, SEQ_THRESHOLD};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Insert `points` (reordered in place) into the subtree `node` covering `region`.
 pub fn batch_insert<T: Coord, const D: usize>(
@@ -42,40 +44,13 @@ pub fn batch_insert<T: Coord, const D: usize>(
             all.extend_from_slice(points);
             *node = build_orth(&mut all, region, cfg, depth);
         }
-        Node::Internal {
-            children,
-            bbox,
-            size,
-        } => {
-            // Sieve the batch into the 2^D orthants of this node and recurse in
-            // parallel (one level per round; the λ-level fused variant is used
-            // for construction, where it matters most).
-            let fanout = 1usize << D;
-            let offsets = sieve_by(points, fanout, |p| child_index(p, region));
-            counters::POINTS_MOVED.add(points.len() as u64);
-
-            let mut slices: Vec<&mut [Point<T, D>]> = Vec::with_capacity(fanout);
-            let mut rest = points;
-            for w in offsets.windows(2) {
-                let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-                slices.push(head);
-                rest = tail;
-            }
-
-            cow::make_mut_slice(children)
-                .par_iter_mut()
-                .zip(slices.into_par_iter())
-                .enumerate()
-                .for_each(|(i, (child, slice))| {
-                    batch_insert(child, slice, &child_region(region, i), cfg, depth + 1);
-                });
-
-            *size = children.iter().map(|c| c.size()).sum();
-            let mut new_bbox = Rect::empty();
-            for c in children.iter() {
-                new_bbox = new_bbox.merged(c.bbox());
-            }
-            *bbox = new_bbox;
+        Node::Internal { children, .. } => {
+            for_each_orthant(children, points, region, |child, part, reg| {
+                batch_insert(child, part, reg, cfg, depth + 1);
+                0
+            });
+            // Recount size and bbox (an internal node only grows here).
+            *node = make_internal(std::mem::take(children), cfg);
         }
     }
 }
@@ -99,91 +74,105 @@ pub fn batch_delete<T: Coord, const D: usize>(
             // form, and re-transpose; bbox is recomputed by the constructor.
             let mut stored = leaf_points.to_vec();
             let removed = remove_multiset(&mut stored, points);
-            *leaf_points = psi_geometry::LeafSoA::from_points(&stored);
+            *leaf_points = LeafSoA::from_points(&stored);
             removed
         }
-        Node::Internal {
-            children,
-            bbox,
-            size,
-        } => {
-            let fanout = 1usize << D;
-            let offsets = sieve_by(points, fanout, |p| child_index(p, region));
-            counters::POINTS_MOVED.add(points.len() as u64);
-
-            let mut slices: Vec<&mut [Point<T, D>]> = Vec::with_capacity(fanout);
-            let mut rest = points;
-            for w in offsets.windows(2) {
-                let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-                slices.push(head);
-                rest = tail;
-            }
-
-            let removed: usize = cow::make_mut_slice(children)
-                .par_iter_mut()
-                .zip(slices.into_par_iter())
-                .enumerate()
-                .map(|(i, (child, slice))| {
-                    batch_delete(child, slice, &child_region(region, i), cfg)
-                })
-                .sum();
-
-            *size -= removed;
-            let mut new_bbox = Rect::empty();
-            for c in children.iter() {
-                new_bbox = new_bbox.merged(c.bbox());
-            }
-            *bbox = new_bbox;
-
-            // Flatten ancestors whose subtree shrank within the leaf wrap
-            // (the extra deletion step described in §3.2).
-            if *size <= cfg.leaf_cap {
-                let children = std::mem::take(children);
-                *node = make_internal(children, cfg);
-            }
+        Node::Internal { children, .. } => {
+            let removed = for_each_orthant(children, points, region, |child, part, reg| {
+                batch_delete(child, part, reg, cfg)
+            });
+            // Recount size and bbox, flattening a subtree that shrank within
+            // the leaf wrap (the extra deletion step described in §3.2).
+            *node = make_internal(std::mem::take(children), cfg);
             removed
         }
     }
 }
 
+/// Split `points` into the orthants of `region` and call `visit(child, part,
+/// child_region)` on every child with its part of the batch (empty parts
+/// return at once), returning the sum of the calls. Above [`SEQ_THRESHOLD`]
+/// points the batch is sieved and the children recurse in parallel; below it
+/// the batch is split by [`sort_into_orthants`] and they recurse in turn.
+/// The child array is copied first only while a snapshot shares it.
+fn for_each_orthant<T: Coord, const D: usize>(
+    children: &mut Arc<[Node<T, D>]>,
+    points: &mut [Point<T, D>],
+    region: &Rect<T, D>,
+    visit: impl Fn(&mut Node<T, D>, &mut [Point<T, D>], &Rect<T, D>) -> usize + Sync,
+) -> usize {
+    counters::POINTS_MOVED.add(points.len() as u64);
+    let children = cow::make_mut_slice(children);
+    let recurse = |(i, (child, part)): (usize, (&mut Node<T, D>, &mut [Point<T, D>]))| {
+        visit(child, part, &child_region(region, i))
+    };
+    if points.len() > SEQ_THRESHOLD {
+        let offsets = sieve_by(points, children.len(), |p| child_index(p, region));
+        children
+            .par_iter_mut()
+            .zip(split_buckets(points, &offsets).into_par_iter())
+            .enumerate()
+            .map(recurse)
+            .sum()
+    } else {
+        let parts = sort_into_orthants(points, region);
+        children
+            .iter_mut()
+            .zip(parts)
+            .enumerate()
+            .map(recurse)
+            .sum()
+    }
+}
+
+/// Reorder `points` so each orthant of `region` is contiguous and yield the
+/// `2^D` orthant parts in turn. The sort is stable, so the order is the one
+/// [`sieve_by`] leaves; unlike the sieve it allocates nothing for the few
+/// points that reach most nodes.
+fn sort_into_orthants<'a, T: Coord, const D: usize>(
+    points: &'a mut [Point<T, D>],
+    region: &'a Rect<T, D>,
+) -> impl Iterator<Item = &'a mut [Point<T, D>]> {
+    points.sort_by_key(|p| child_index(p, region));
+    let mut rest = points;
+    (0..1 << D).map(move |i| {
+        let len = rest.partition_point(|p| child_index(p, region) == i);
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        part
+    })
+}
+
 /// Remove from `stored` one occurrence of every point in `to_remove` (multiset
-/// semantics); returns the number of removals. Both slices are small compared
-/// to the tree (a leaf and its share of the batch), so an O((a+b) log(a+b))
-/// sort-merge is plenty.
+/// semantics), leaving `stored` in [`Point::lex_cmp`] order; returns the
+/// number removed. Both are sorted in place and merged in one `retain` pass;
+/// the sorts may be unstable, as `lex_cmp`-equal points are bit-identical.
 fn remove_multiset<T: Coord, const D: usize>(
     stored: &mut Vec<Point<T, D>>,
     to_remove: &mut [Point<T, D>],
 ) -> usize {
-    if stored.is_empty() || to_remove.is_empty() {
-        return 0;
-    }
-    to_remove.sort_by(|a, b| a.lex_cmp(b));
-    let mut kept = Vec::with_capacity(stored.len());
-    let mut removed = 0usize;
-
-    // Sort the stored points as well so a single merge pass suffices.
-    stored.sort_by(|a, b| a.lex_cmp(b));
+    to_remove.sort_unstable_by(|a, b| a.lex_cmp(b));
+    stored.sort_unstable_by(|a, b| a.lex_cmp(b));
+    let before = stored.len();
     let mut j = 0usize;
-    for p in stored.iter() {
-        // advance j past removal candidates smaller than p
-        while j < to_remove.len() && to_remove[j].lex_cmp(p) == std::cmp::Ordering::Less {
+    stored.retain(|p| {
+        // skip removal candidates below p; one equal to p removes it
+        while to_remove.get(j).is_some_and(|r| r.lex_cmp(p).is_lt()) {
             j += 1;
         }
-        if j < to_remove.len() && to_remove[j].lex_cmp(p) == std::cmp::Ordering::Equal {
-            j += 1;
-            removed += 1;
-        } else {
-            kept.push(*p);
-        }
-    }
-    *stored = kept;
-    removed
+        let hit = to_remove.get(j).is_some_and(|r| r.lex_cmp(p).is_eq());
+        j += usize::from(hit);
+        !hit
+    });
+    before - stored.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use psi_geometry::PointI;
+    use rand::rngs::StdRng;
+    use rand::{Rng as _, SeedableRng as _};
 
     fn p(x: i64, y: i64) -> PointI<2> {
         Point::new([x, y])
@@ -195,7 +184,6 @@ mod tests {
         let mut batch = vec![p(1, 1), p(4, 4), p(3, 3)];
         let removed = remove_multiset(&mut stored, &mut batch);
         assert_eq!(removed, 2);
-        stored.sort();
         assert_eq!(stored, vec![p(1, 1), p(2, 2)]);
     }
 
@@ -214,5 +202,26 @@ mod tests {
         let mut batch = vec![p(5, 5), p(5, 5), p(5, 5)];
         assert_eq!(remove_multiset(&mut stored, &mut batch), 2);
         assert!(stored.is_empty());
+    }
+
+    #[test]
+    fn sort_split_matches_sieve_order_and_offsets() {
+        let region = Rect::from_corners(p(0, 0), p(99, 99));
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in (0..=64).chain([500, SEQ_THRESHOLD]) {
+            // Few distinct coordinates, so orthants repeat and ties abound.
+            let pts: Vec<PointI<2>> = (0..n)
+                .map(|_| p(rng.gen_range(0..8i64) * 14, rng.gen_range(0..8i64) * 14))
+                .collect();
+            let mut sieved = pts.clone();
+            let offsets = sieve_by(&mut sieved, 4, |q| child_index(q, &region));
+            let mut sorted = pts;
+            let lens: Vec<usize> = sort_into_orthants(&mut sorted, &region)
+                .map(|part| part.len())
+                .collect();
+            let sieved_lens: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+            assert_eq!(lens, sieved_lens, "n = {n}");
+            assert_eq!(sorted, sieved, "n = {n}");
+        }
     }
 }

@@ -27,7 +27,7 @@
 
 use psi_geometry::{Coord, KnnHeap, PointI, Rect, RectI};
 use psi_parutils::stats::counters;
-use psi_parutils::{cow, par_sort_by_key};
+use psi_parutils::{cow, par_sort_by_key, SEQ_THRESHOLD};
 use psi_sfc::{bits_per_dim, MortonCurve, SfcCurve};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -171,9 +171,11 @@ fn child_bounds<const D: usize>(entries: &[Entry<D>], level: u32) -> Vec<usize> 
     bounds
 }
 
-/// Recurse into the children of an internal node, in parallel, on the
-/// non-empty child ranges of `batch`. The child array is copied first only
-/// while a snapshot shares it; children whose range is empty are untouched.
+/// Recurse into the children of an internal node on the child ranges of
+/// `batch`: in parallel when the batch holds more than [`SEQ_THRESHOLD`]
+/// entries and sequentially otherwise, as the P-Orth tree's updates do. The
+/// child array is copied first only while a snapshot shares it; children
+/// whose range is empty are untouched.
 fn update_children<const D: usize>(
     children: &mut Arc<[Node<D>]>,
     batch: &[Entry<D>],
@@ -181,10 +183,13 @@ fn update_children<const D: usize>(
     update: impl Fn(&mut Node<D>, &[Entry<D>]) + Sync,
 ) {
     let bounds = child_bounds::<D>(batch, level);
-    cow::make_mut_slice(children)
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(c, child)| update(child, &batch[bounds[c]..bounds[c + 1]]));
+    let visit = |(c, child): (usize, &mut Node<D>)| update(child, &batch[bounds[c]..bounds[c + 1]]);
+    let children = cow::make_mut_slice(children);
+    if batch.len() > SEQ_THRESHOLD {
+        children.par_iter_mut().enumerate().for_each(visit);
+    } else {
+        children.iter_mut().enumerate().for_each(visit);
+    }
 }
 
 fn merged_bbox<const D: usize>(children: &[Node<D>]) -> RectI<D> {

@@ -210,6 +210,46 @@ fn index_construction_identical_across_thread_counts() {
     assert_thread_invariant(build_and_probe);
 }
 
+#[test]
+fn batch_updates_identical_across_thread_counts() {
+    // The same delete + insert sequence at 1, 2 and 4 threads must leave
+    // every family answering identically — range_list compared in order,
+    // since leaf order shows there. The batches sit on either side of the
+    // sequential grain (`SEQ_THRESHOLD` = 2048): 500 points recurse
+    // sequentially from the root, 5 000 fork at the top levels.
+    let data = workloads::uniform::<2>(20_000, 100_000, 31);
+    let fresh = workloads::uniform::<2>(5_500, 100_000, 32);
+    let queries = workloads::ind_queries(&data, 200, 33);
+    let ranges = workloads::range_queries(&data, 100_000, 100, 100, 34);
+    let opts = BuildOptions::<i64, 2>::with_universe(workloads::universe::<2>(100_000));
+    let _g = override_lock();
+    for name in registry::names() {
+        let run = || {
+            let mut index = registry::create::<2>(name, &data, &opts).unwrap();
+            let mut at = 0;
+            for size in [500, 5_000] {
+                index.batch_delete(&data[at..at + size]);
+                index.batch_insert(&fresh[at..at + size]);
+                at += size;
+            }
+            index.check_invariants();
+            (
+                index.len(),
+                index.knn_batch(&queries, 7),
+                index.range_list_batch(&ranges),
+            )
+        };
+        let reference = with_threads(1, run);
+        assert_eq!(reference.0, data.len(), "{name}");
+        for t in [2, 4] {
+            assert!(
+                with_threads(t, run) == reference,
+                "{name}: updates at {t} threads answer differently from 1 thread"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // (b) Work really lands on more than one thread.
 // ---------------------------------------------------------------------------
