@@ -6,8 +6,9 @@
 //!
 //! * **AoS**: `Vec<Point<T, D>>` + the reference kernels the indexes used
 //!   before PR 7 (`aos_range_count` / `aos_range_visit` / `aos_knn_offer`),
-//! * **SoA**: [`psi_geometry::LeafSoA`] — one contiguous coordinate plane per
-//!   dimension, block bitmask range tests, branch-light distance loops.
+//! * **SoA**: [`psi_geometry::LeafSoA`] — one contiguous `total_key` plane
+//!   per dimension (the only copy of the coordinates, decoded on demand),
+//!   block bitmask range tests, branch-light distance loops.
 //!
 //! The sweep covers leaf sizes 16/32/64 (the φ range the indexes use) for both
 //! coordinate types (`i64`, `f64`). Both layouts must produce bit-identical
@@ -368,7 +369,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"leaf_scan_aos_vs_soa\",\n  {},\n  \"pools\": {},\n  \"points_per_cell\": {},\n  \"k\": {},\n  \"reps\": {},\n  \"soa_ge_aos_on_every_cell\": {},\n  \"note\": \"best-of-reps wall clock, AoS/SoA reps interleaved across {} independently allocated pools; pts/s = leaf points scanned per second; kNN heap persists across a pass as in a real query; single measurement box, multi-core rerun is follow-up\",\n  \"cells\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"leaf_scan_aos_vs_soa\",\n  {},\n  \"pools\": {},\n  \"points_per_cell\": {},\n  \"k\": {},\n  \"reps\": {},\n  \"soa_ge_aos_on_every_cell\": {},\n  \"note\": \"best-of-reps wall clock, AoS/SoA reps interleaved across {} independently allocated pools; pts/s = leaf points scanned per second; kNN heap persists across a pass as in a real query; kernels run on one thread\",\n  \"cells\": [\n{}\n  ]\n}}\n",
         psi_bench::host_meta_json(),
         NUM_POOLS,
         POINTS_PER_CELL,

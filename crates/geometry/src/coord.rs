@@ -55,6 +55,9 @@ pub trait Coord: Copy + Clone + PartialOrd + PartialEq + Debug + Send + Sync + '
     /// ([`crate::leaf::LeafSoA`]): closed-interval containment becomes two
     /// integer compares per coordinate plane, which auto-vectorize.
     fn total_key(self) -> i64;
+    /// The exact inverse of [`Coord::total_key`]: `from_total_key(x.total_key())`
+    /// has the bit pattern of `x` for every `x`. SoA leaves store only keys.
+    fn from_total_key(key: i64) -> Self;
     /// [`Coord::total_key`] range inside which distance pruning is sound.
     ///
     /// When every coordinate involved has a key in
@@ -119,6 +122,11 @@ impl Coord for i64 {
         self
     }
 
+    #[inline(always)]
+    fn from_total_key(key: i64) -> Self {
+        key
+    }
+
     // |coord| <= 2^61 - 1 keeps each diff at most 2^62 - 2, each square
     // strictly below 2^124, and a sum of up to 8 of them strictly below
     // 2^127 — no i128 wrap. (At exactly ±2^61 an 8-dim sum hits 2^127,
@@ -181,24 +189,20 @@ impl Coord for f64 {
 
     #[inline(always)]
     fn total_key(self) -> i64 {
-        // The sign-magnitude → two's-complement trick used by
-        // `f64::total_cmp` itself: flip the lower 63 bits of negative
-        // values, so the integer order of the keys is exactly the IEEE 754
-        // totalOrder predicate (-NaN < -inf < … < -0.0 < +0.0 < … < +NaN).
-        let b = self.to_bits() as i64;
-        b ^ (((b >> 63) as u64 >> 1) as i64)
+        fold_sign(self.to_bits() as i64)
+    }
+
+    #[inline(always)]
+    fn from_total_key(key: i64) -> Self {
+        f64::from_bits(fold_sign(key) as u64)
     }
 
     // The keys of ±f64::MAX: everything strictly outside is an infinity or a
     // NaN, for which squared-distance arithmetic stops being monotone.
     // (Finite differences may still overflow to +inf, but +inf squares and
     // sums stay +inf — monotone — whereas inf - inf or a NaN input poisons
-    // the bound.) Same sign-magnitude fold as `total_key`, spelled out here
-    // because trait methods cannot run in const context.
-    const PRUNABLE_KEY_LO: i64 = {
-        let b = (-f64::MAX).to_bits() as i64;
-        b ^ (((b >> 63) as u64 >> 1) as i64)
-    };
+    // the bound.)
+    const PRUNABLE_KEY_LO: i64 = fold_sign((-f64::MAX).to_bits() as i64);
     const PRUNABLE_KEY_HI: i64 = f64::MAX.to_bits() as i64;
 
     #[inline(always)]
@@ -220,6 +224,16 @@ impl Coord for f64 {
     fn dist_to_f64(d: f64) -> f64 {
         d
     }
+}
+
+/// The sign-magnitude → two's-complement trick used by `f64::total_cmp`
+/// itself: flip the lower 63 bits of negative values, so the integer order
+/// of the folded bits is exactly the IEEE 754 totalOrder predicate
+/// (-NaN < -inf < … < -0.0 < +0.0 < … < +NaN). The sign bit is kept, so
+/// folding twice gives the bits back.
+#[inline(always)]
+const fn fold_sign(b: i64) -> i64 {
+    b ^ (((b >> 63) as u64 >> 1) as i64)
 }
 
 #[cfg(test)]
@@ -334,6 +348,49 @@ mod tests {
         }
         for (a, b) in [(i64::MIN, -1i64), (-1, 0), (0, 1), (1, i64::MAX)] {
             assert_eq!(Coord::total_cmp(&a, &b), a.total_key().cmp(&b.total_key()));
+        }
+    }
+
+    #[test]
+    fn from_total_key_inverts_total_key_bit_for_bit() {
+        let floats = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0001), // +NaN, payload set
+            f64::from_bits(0xFFF8_0000_0000_0001), // -NaN, payload set
+            f64::from_bits(0x7FF0_0000_0000_0001), // +signalling NaN
+            f64::from_bits(0xFFF0_0000_0000_0001), // -signalling NaN
+            f64::from_bits(0x7FFF_FFFF_FFFF_FFFF), // +NaN, all payload bits
+            f64::from_bits(0xFFFF_FFFF_FFFF_FFFF), // -NaN, all payload bits
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            -f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+            1.0,
+            -1.5,
+        ];
+        for x in floats {
+            assert_eq!(
+                f64::from_total_key(x.total_key()).to_bits(),
+                x.to_bits(),
+                "{x:?} ({:#x}) must round-trip",
+                x.to_bits()
+            );
+        }
+        for x in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX] {
+            assert_eq!(i64::from_total_key(x.total_key()), x);
+        }
+        // The key map is a bijection onto i64, so the inverse also holds the
+        // other way round — every key decodes to a value that maps back to it.
+        for k in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX] {
+            assert_eq!(f64::from_total_key(k).total_key(), k);
         }
     }
 

@@ -71,8 +71,12 @@ impl<T: Coord, const D: usize> KnnHeap<T, D> {
         !self.is_full() || T::dist_cmp(dist, self.worst_dist()) == std::cmp::Ordering::Less
     }
 
-    /// Offer a candidate point at squared distance `dist`.
-    #[inline]
+    /// Offer a candidate point at squared distance `dist`. Always inlined:
+    /// it is the per-point step of every AoS leaf scan, and left to the
+    /// inliner's cost model it went out of line in SPaC's `knn_rec` when
+    /// unrelated code in the same crate changed, costing psibench spac-h
+    /// about 7 % of `knn_kqps` on a 2-vCPU Xeon.
+    #[inline(always)]
     pub fn offer(&mut self, dist: T::Dist, p: Point<T, D>) {
         if self.is_full() {
             if T::dist_cmp(dist, self.heap[0].0) != std::cmp::Ordering::Less {

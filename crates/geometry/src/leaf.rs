@@ -5,12 +5,13 @@
 //! accumulates a squared distance per point. With the AoS layout
 //! (`Vec<Point<T, D>>`) those inner loops interleave the `D` coordinates of
 //! each point and branch per dimension, so the compiler cannot vectorize
-//! them. [`LeafSoA`] stores one contiguous *coordinate plane* per dimension
-//! instead and expresses the kernels as branch-light per-plane passes:
+//! them. [`LeafSoA`] stores one contiguous *key plane* per dimension
+//! instead — each coordinate mapped through [`Coord::total_key`], an
+//! order-isomorphic and invertible embedding of `total_cmp` into `i64` — and
+//! expresses the kernels as branch-light per-plane passes:
 //!
-//! * containment per dimension is two integer compares on
-//!   [`Coord::total_key`] (an order-isomorphic embedding of `total_cmp`, so
-//!   NaN and `-0.0` semantics match [`Rect::contains`] bit for bit); the
+//! * containment per dimension is two integer compares on the keys (so NaN
+//!   and `-0.0` semantics match [`Rect::contains`] bit for bit); the
 //!   per-dimension tests are ANDed branch-free per point, so counting is a
 //!   single vectorizable compare-and-accumulate pass,
 //! * range filtering computes a byte of hit flags per point (64-point
@@ -48,47 +49,50 @@ use std::sync::Arc;
 /// Points per range-filter flag block (sizes the stack flag buffer).
 const MASK_BLOCK: usize = 64;
 
-/// A leaf's points in SoA layout: one contiguous coordinate plane per
-/// dimension, plus the bounding box of the stored points.
+/// A leaf's points in SoA layout: one contiguous key plane per dimension,
+/// plus the bounding box of the stored points.
 ///
-/// Stored plane-major: coordinate `d` of point `i` lives at
-/// `buf[d * len + i]` — a single allocation regardless of `D`.
+/// Stored plane-major: the [`Coord::total_key`] of coordinate `d` of point
+/// `i` lives at `keys[d * len + i]` — a single allocation regardless of `D`.
+/// The keys are the only copy of the coordinates: range tests compare them
+/// as plain `i64`s, and [`Coord::from_total_key`] decodes them bit for bit
+/// (the identity for `i64`) for points and distances.
 ///
 /// A leaf is immutable once built (updates replace it with a new one), so
-/// its planes are `Arc`-shared: a clone — what a snapshotting tree does when
-/// it copies a node array holding this leaf — bumps two reference counts and
+/// its plane is `Arc`-shared: a clone — what a snapshotting tree does when
+/// it copies a node array holding this leaf — bumps one reference count and
 /// copies no coordinates.
 #[derive(Clone, Debug)]
 pub struct LeafSoA<T: Coord, const D: usize> {
-    buf: Arc<[T]>,
-    /// The coordinate planes mapped through [`Coord::total_key`], same
-    /// plane-major layout as `buf`. Precomputing the order-isomorphic integer
-    /// keys at build time turns every range test into plain `i64` compares —
-    /// no per-query conversion in the hot loops. (For `i64` coordinates the
-    /// key plane duplicates `buf`; leaves are small, and keeping the kernels
-    /// monomorphic is worth the few hundred bytes.)
     keys: Arc<[i64]>,
-    len: usize,
     bbox: Rect<T, D>,
-    /// `bbox` corners as [`Coord::total_key`]s: the prefilter in the range
-    /// kernels runs on integer compares instead of `total_cmp` calls.
-    key_lo: [i64; D],
-    key_hi: [i64; D],
 }
 
 impl<T: Coord, const D: usize> LeafSoA<T, D> {
-    /// Transpose a point slice into planes, preserving order.
+    /// Transpose a point slice into key planes, preserving order.
     pub fn from_points(points: &[Point<T, D>]) -> Self {
-        let bbox = Rect::bounding(points);
-        let key_lo = std::array::from_fn(|d| bbox.lo.coords[d].total_key());
-        let key_hi = std::array::from_fn(|d| bbox.hi.coords[d].total_key());
+        let n = points.len();
+        // Orth-trees hold many empty leaves; the empty slice is one static
+        // allocation shared by all of them.
+        let keys = if n == 0 {
+            Arc::default()
+        } else {
+            // Written straight into the shared allocation (no intermediate
+            // `Vec` to copy from), one unit-stride pass per plane.
+            let mut out = Arc::<[i64]>::new_uninit_slice(n * D);
+            let slots = Arc::get_mut(&mut out).expect("a fresh Arc has no other handle");
+            for (d, plane) in slots.chunks_exact_mut(n).enumerate() {
+                for (slot, p) in plane.iter_mut().zip(points) {
+                    slot.write(p.coords[d].total_key());
+                }
+            }
+            // SAFETY: the `D` chunks of `n` slots cover all `n * D` slots,
+            // and the inner loop wrote every slot of each chunk.
+            unsafe { out.assume_init() }
+        };
         LeafSoA {
-            buf: planes(points, |c| c),
-            keys: planes(points, T::total_key),
-            len: points.len(),
-            bbox,
-            key_lo,
-            key_hi,
+            keys,
+            bbox: Rect::bounding(points),
         }
     }
 
@@ -97,16 +101,16 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
         Self::from_points(&[])
     }
 
-    /// Number of stored points.
+    /// Number of stored points (`0` for the degenerate `D == 0`).
     #[inline(always)]
     pub fn len(&self) -> usize {
-        self.len
+        self.keys.len().checked_div(D).unwrap_or(0)
     }
 
     /// `true` iff no point is stored.
     #[inline(always)]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.keys.is_empty()
     }
 
     /// Bounding box of the stored points ([`Rect::empty`] when empty).
@@ -115,45 +119,44 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
         &self.bbox
     }
 
-    /// The coordinate plane of dimension `d`.
+    /// Coordinate `d` of point `i`, decoded from its key.
+    ///
+    /// # Safety
+    /// `d < D` and `i < self.len()`.
     #[inline(always)]
-    pub fn plane(&self, d: usize) -> &[T] {
-        &self.buf[d * self.len..(d + 1) * self.len]
+    unsafe fn coord_unchecked(&self, d: usize, i: usize) -> T {
+        // SAFETY: `keys.len() == D * len` by construction. Unchecked because
+        // this runs on every kNN distance and every range-filter hit.
+        T::from_total_key(*self.keys.get_unchecked(d * self.len() + i))
     }
 
     /// Reconstruct point `i` (original insertion order).
     #[inline(always)]
     pub fn point(&self, i: usize) -> Point<T, D> {
-        assert!(i < self.len);
-        // SAFETY: `buf.len() == D * len` by construction, `d < D`, `i < len`
-        // (asserted above). Unchecked because this runs on every kNN heap
-        // acceptance and every range-filter hit.
-        Point::new(std::array::from_fn(|d| unsafe {
-            *self.buf.get_unchecked(d * self.len + i)
-        }))
+        assert!(i < self.len());
+        // SAFETY: `i < len` (asserted above).
+        unsafe { self.point_unchecked(i) }
     }
 
     /// [`Self::point`] without the bounds check, for the kernels' gather
     /// loops (one materialisation per range hit).
     ///
     /// # Safety
-    /// `i < self.len`.
+    /// `i < self.len()`.
     #[inline(always)]
     unsafe fn point_unchecked(&self, i: usize) -> Point<T, D> {
-        debug_assert!(i < self.len);
-        Point::new(std::array::from_fn(|d| {
-            *self.buf.get_unchecked(d * self.len + i)
-        }))
+        debug_assert!(i < self.len());
+        Point::new(std::array::from_fn(|d| self.coord_unchecked(d, i)))
     }
 
     /// The stored points in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = Point<T, D>> + '_ {
-        (0..self.len).map(|i| self.point(i))
+        (0..self.len()).map(|i| self.point(i))
     }
 
     /// Append all stored points (in order) to `out`.
     pub fn collect_into(&self, out: &mut Vec<Point<T, D>>) {
-        out.reserve(self.len);
+        out.reserve(self.len());
         out.extend(self.iter());
     }
 
@@ -192,7 +195,7 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
             *f = ((k >= lo[0]) as u8) & ((k <= hi[0]) as u8);
         }
         for d in 1..D {
-            let plane = &self.keys[d * self.len + base..][..block_len];
+            let plane = &self.keys[d * self.len() + base..][..block_len];
             for (f, &k) in flags[..block_len].iter_mut().zip(plane.iter()) {
                 *f &= ((k >= lo[d]) as u8) & ((k <= hi[d]) as u8);
             }
@@ -206,31 +209,6 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
             std::array::from_fn(|d| rect.lo.coords[d].total_key()),
             std::array::from_fn(|d| rect.hi.coords[d].total_key()),
         )
-    }
-
-    /// `true` iff the key interval `[lo, hi]` misses the leaf bbox on some
-    /// dimension — the key-space mirror of `!rect.intersects(bbox)` for a
-    /// nonempty leaf. An *empty* query rect (`lo > hi` somewhere) may slip
-    /// past this test, but then falls through to per-point tests that reject
-    /// every point, so answers still match the `Rect` predicates exactly.
-    #[inline(always)]
-    fn keys_disjoint(&self, lo: &[i64; D], hi: &[i64; D]) -> bool {
-        // Accumulate branch-free; one well-predicted branch at the caller.
-        let mut miss = 0u8;
-        for d in 0..D {
-            miss |= ((hi[d] < self.key_lo[d]) as u8) | ((self.key_hi[d] < lo[d]) as u8);
-        }
-        miss != 0
-    }
-
-    /// `true` iff the key interval `[lo, hi]` covers the whole leaf bbox —
-    /// the key-space mirror of `rect.contains_rect(bbox)` for a nonempty
-    /// leaf. Cannot fire for an empty query rect: it would need
-    /// `lo[d] <= key_lo[d] <= key_hi[d] <= hi[d]`, i.e. `lo[d] <= hi[d]`,
-    /// on every dimension.
-    #[inline(always)]
-    fn keys_cover(&self, lo: &[i64; D], hi: &[i64; D]) -> bool {
-        (0..D).all(|d| lo[d] <= self.key_lo[d] && self.key_hi[d] <= hi[d])
     }
 
     /// Number of stored points inside the closed box `rect`. Exactly
@@ -248,12 +226,12 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
         // compare-and-accumulate. `get_unchecked` removes the bounds checks
         // that otherwise block vectorization of the multi-plane indexing.
         let mut count = 0usize;
-        for i in 0..self.len {
+        for i in 0..self.len() {
             let mut hit = 1u8;
             for d in 0..D {
                 // SAFETY: `keys.len() == D * len` by construction, `d < D`,
                 // `i < len`.
-                let k = unsafe { *self.keys.get_unchecked(d * self.len + i) };
+                let k = unsafe { *self.keys.get_unchecked(d * self.len() + i) };
                 hit &= ((k >= lo[d]) as u8) & ((k <= hi[d]) as u8);
             }
             count += hit as usize;
@@ -267,31 +245,31 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
     /// devirtualized and inlined; `&mut dyn FnMut` still satisfies the bound.
     #[inline]
     pub fn range_visit<F: FnMut(&Point<T, D>)>(&self, rect: &Rect<T, D>, mut visit: F) {
-        if self.len == 0 {
+        // The bbox prefilter: an empty leaf or query box, or one that misses
+        // the bbox, visits nothing; one that covers it visits every point.
+        if !rect.intersects(&self.bbox) {
             return;
         }
-        let (lo, hi) = Self::key_bounds(rect);
-        if self.keys_disjoint(&lo, &hi) {
-            return;
-        }
-        if self.keys_cover(&lo, &hi) {
-            for i in 0..self.len {
-                // SAFETY: `i < self.len`.
+        let len = self.len();
+        if rect.contains_rect(&self.bbox) {
+            for i in 0..len {
+                // SAFETY: `i < len`.
                 visit(&unsafe { self.point_unchecked(i) });
             }
             return;
         }
+        let (lo, hi) = Self::key_bounds(rect);
         let mut flags = [0u8; MASK_BLOCK];
         let mut base = 0usize;
-        while base < self.len {
-            let block_len = (self.len - base).min(MASK_BLOCK);
+        while base < len {
+            let block_len = (len - base).min(MASK_BLOCK);
             // Pass 1 (vectorized): per-point hit flags for the block.
             self.block_flags(&lo, &hi, base, block_len, &mut flags);
             // Pass 2: gather hits in insertion order; the branch tests a
             // precomputed byte, so sparse blocks predict perfectly.
             for (j, &f) in flags[..block_len].iter().enumerate() {
                 if f != 0 {
-                    // SAFETY: `base + j < base + block_len <= self.len`.
+                    // SAFETY: `base + j < base + block_len <= len`.
                     visit(&unsafe { self.point_unchecked(base + j) });
                 }
             }
@@ -304,14 +282,13 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
     /// order — so the distance is bit-identical to the AoS scan.
     ///
     /// # Safety
-    /// `i < self.len`.
+    /// `i < self.len()`.
     #[inline(always)]
     unsafe fn dist_unchecked(&self, qc: &[T; D], i: usize) -> T::Dist {
         let mut dist = T::DIST_ZERO;
         for (d, q) in qc.iter().enumerate() {
-            // SAFETY: `buf.len() == D * len` by construction, `d < D`,
-            // `i < len` per the caller's contract.
-            let c = *self.buf.get_unchecked(d * self.len + i);
+            // SAFETY: `d < D`, `i < len` per the caller's contract.
+            let c = self.coord_unchecked(d, i);
             dist = T::dist_add(dist, q.diff_sq(c));
         }
         dist
@@ -326,7 +303,7 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
     #[inline(never)]
     fn knn_fill(&self, qc: &[T; D], heap: &mut KnnHeap<T, D>) -> usize {
         let mut i = 0;
-        while i < self.len && !heap.is_full() {
+        while i < self.len() && !heap.is_full() {
             // SAFETY: `i < len`.
             let d = unsafe { self.dist_unchecked(qc, i) };
             let p = unsafe { self.point_unchecked(i) };
@@ -338,11 +315,12 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
 
     /// `true` when every stored coordinate's key sits inside the
     /// [`Coord::PRUNABLE_KEY_LO`] fence, i.e. bounding-box distance pruning
-    /// is sound for this leaf. `key_lo`/`key_hi` are the per-dim key extrema,
-    /// so two compares per dimension cover every point.
+    /// is sound for this leaf. The bbox keys are the per-dim key extrema, so
+    /// two compares per dimension cover every point.
     #[inline(always)]
     fn prunable(&self) -> bool {
-        (0..D).all(|d| T::PRUNABLE_KEY_LO <= self.key_lo[d] && self.key_hi[d] <= T::PRUNABLE_KEY_HI)
+        let (key_lo, key_hi) = Self::key_bounds(&self.bbox);
+        (0..D).all(|d| T::PRUNABLE_KEY_LO <= key_lo[d] && key_hi[d] <= T::PRUNABLE_KEY_HI)
     }
 
     /// Offer every stored point to `heap` in insertion order. Distances and
@@ -353,7 +331,7 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
     #[inline]
     pub fn knn_offer(&self, query: &Point<T, D>, heap: &mut KnnHeap<T, D>) {
         let qc = query.coords;
-        let len = self.len;
+        let len = self.len();
         let mut i = 0;
         if !heap.is_full() {
             i = self.knn_fill(&qc, heap);
@@ -401,31 +379,11 @@ impl<T: Coord, const D: usize> LeafSoA<T, D> {
     }
 }
 
-/// `points` transposed plane-major through `f`, written straight into one
-/// shared allocation (no intermediate `Vec` to copy from), one unit-stride
-/// pass per plane.
-fn planes<T: Coord, U, const D: usize>(points: &[Point<T, D>], f: impl Fn(T) -> U) -> Arc<[U]> {
-    let n = points.len();
-    if n == 0 {
-        // Orth-trees hold many empty leaves; the empty slice is one static
-        // allocation shared by all of them.
-        return Arc::default();
-    }
-    let mut out = Arc::<[U]>::new_uninit_slice(n * D);
-    let slots = Arc::get_mut(&mut out).expect("a fresh Arc has no other handle");
-    for (d, plane) in slots.chunks_exact_mut(n).enumerate() {
-        for (slot, p) in plane.iter_mut().zip(points) {
-            slot.write(f(p.coords[d]));
-        }
-    }
-    // SAFETY: the `D` chunks of `n` slots cover all `n * D` slots, and the
-    // inner loop wrote every slot of each chunk.
-    unsafe { out.assume_init() }
-}
-
 impl<T: Coord, const D: usize> PartialEq for LeafSoA<T, D> {
+    /// Bitwise equality of the stored points, in order (`total_key` is a
+    /// bijection, so equal keys are equal coordinate bit patterns).
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.buf == other.buf
+        self.keys == other.keys
     }
 }
 
@@ -590,6 +548,57 @@ mod tests {
             bits(h_aos.into_sorted_with_dist()),
             "kNN distances and ties must be bit-identical"
         );
+    }
+
+    #[test]
+    fn f64_leaf_gives_back_every_bit_pattern() {
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0001), // +NaN, payload set
+            f64::from_bits(0xFFF8_0000_0000_0001), // -NaN, payload set
+            f64::from_bits(0x7FF0_0000_0000_0001), // +signalling NaN
+            f64::from_bits(0xFFF0_0000_0000_0001), // -signalling NaN
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            -f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MAX,
+            -f64::MAX,
+            1.0,
+        ];
+        let n = values.len();
+        let points: Vec<PointF<2>> = (0..n)
+            .map(|i| PointF::new([values[i], values[(i + 5) % n]]))
+            .collect();
+        let bits = |p: &PointF<2>| p.coords.map(f64::to_bits);
+        let want: Vec<[u64; 2]> = points.iter().map(bits).collect();
+        let soa = LeafSoA::from_points(&points);
+        assert_eq!(soa.iter().map(|p| bits(&p)).collect::<Vec<_>>(), want);
+        assert_eq!(
+            (0..n).map(|i| bits(&soa.point(i))).collect::<Vec<_>>(),
+            want
+        );
+        assert_eq!(soa.to_vec().iter().map(bits).collect::<Vec<_>>(), want);
+        // The extreme keys (NaNs with every payload bit set) bound every
+        // point: a full-cover visit. Then a box that drops the NaNs and the
+        // infinities: the per-point flag path.
+        let all = Rect::from_corners(
+            PointF::new([f64::from_bits(u64::MAX); 2]),
+            PointF::new([f64::from_bits(i64::MAX as u64); 2]),
+        );
+        let finite = Rect::from_corners(PointF::new([-f64::MAX; 2]), PointF::new([f64::MAX; 2]));
+        for rect in [all, finite] {
+            let mut got = Vec::new();
+            soa.range_visit(&rect, |p: &Point<f64, 2>| got.push(bits(p)));
+            let mut expect = Vec::new();
+            aos_range_visit(&points, &rect, |p: &Point<f64, 2>| expect.push(bits(p)));
+            assert_eq!(got, expect, "bit-exact visit mismatch for {rect:?}");
+        }
+        assert_eq!(soa.range_count(&all), n);
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Default for PkdConfig {
 #[derive(Clone)]
 enum Node<T: Coord, const D: usize> {
     Leaf {
-        /// SoA coordinate planes (+ bounding box): the leaf scan kernels
+        /// SoA key planes (+ bounding box): the leaf scan kernels
         /// (range filter, kNN distance accumulation) run as per-plane
         /// vectorizable loops over this, bit-identical to the old AoS scan.
         points: LeafSoA<T, D>,

@@ -22,7 +22,7 @@ pub enum Node<T: Coord, const D: usize> {
     /// (more only for point multisets that cannot be subdivided, e.g. many
     /// duplicates). The SoA planes carry their own tight bounding box.
     Leaf {
-        /// The stored points (coordinate planes + bbox), insertion order kept.
+        /// The stored points (key planes + bbox), insertion order kept.
         points: LeafSoA<T, D>,
     },
     /// An internal node covering `2^D` orthants.
@@ -271,6 +271,16 @@ mod tests {
         let c3 = child_region(&r, 3);
         assert_eq!(c3.lo, Point::new([0.5, 0.5]));
         assert_eq!(c3.hi, Point::new([1.0, 1.0]));
+    }
+
+    #[test]
+    fn nodes_stay_compact() {
+        // A leaf is one key plane and a bbox, no wider than an internal
+        // node (child array, bbox, size), and the tag hides in a niche: a
+        // 2-D child array spans 224 bytes, a 3-D one 576. A second plane or
+        // cached key bounds took these to 104 and 136 bytes.
+        assert!(std::mem::size_of::<Node<i64, 2>>() <= 56);
+        assert!(std::mem::size_of::<Node<i64, 3>>() <= 72);
     }
 
     #[test]

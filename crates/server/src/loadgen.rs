@@ -141,12 +141,17 @@ pub fn closed_loop_with<T: ServeCoord, const D: usize>(
         let pace = std::time::Duration::from_millis(spec.write_every_ms);
         let data = data.to_vec();
         std::thread::spawn(move || {
+            // Submit before testing `stop`: a run whose clients finish
+            // before this thread is first scheduled still moves one batch.
             let mut offset = 0usize;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let lo = offset % (data.len() - batch + 1);
                 let slice = data[lo..lo + batch].to_vec();
                 server.submit(slice.clone(), slice);
                 offset = offset.wrapping_add(batch * 7 + 13);
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
                 if !pace.is_zero() {
                     std::thread::sleep(pace);
                 }
