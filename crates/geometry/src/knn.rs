@@ -115,7 +115,9 @@ impl<T: Coord, const D: usize> KnnHeap<T, D> {
     }
 
     /// Offer a candidate, computing its distance from the query point.
-    #[inline]
+    /// Always inlined, like [`KnnHeap::offer`]: it is the per-point step of
+    /// every leaf scan.
+    #[inline(always)]
     pub fn offer_point(&mut self, query: &Point<T, D>, p: Point<T, D>) {
         self.offer(query.dist_sq(&p), p);
     }

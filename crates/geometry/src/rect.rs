@@ -146,8 +146,9 @@ impl<T: Coord, const D: usize> Rect<T, D> {
     ///
     /// This is the pruning primitive of every kNN search in the paper: a
     /// subtree whose bounding box is farther than the current k-th neighbour
-    /// can be skipped.
-    #[inline]
+    /// can be skipped. Always inlined, so each monomorphising crate's kNN
+    /// descent gets it in line whatever its inliner would choose.
+    #[inline(always)]
     pub fn dist_sq_to_point(&self, p: &Point<T, D>) -> T::Dist {
         let mut acc = T::DIST_ZERO;
         for d in 0..D {

@@ -879,10 +879,10 @@ mod tests {
         // for the R-tree), so every bound sits far below a single copy.
         let bounds = [
             ("p-orth", 250),
-            ("spac-h", 500),
-            ("spac-z", 500),
-            ("cpam-h", 500),
-            ("cpam-z", 500),
+            ("spac-h", 250),
+            ("spac-z", 250),
+            ("cpam-h", 250),
+            ("cpam-z", 250),
             ("pkd", 250),
             ("zd", 550),
             ("r-tree", 100),

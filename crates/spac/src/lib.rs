@@ -397,6 +397,54 @@ mod tests {
         check_knn_against_oracle(&tree, &all, 102);
     }
 
+    /// `(entries, sorted)` of every leaf, in tree order.
+    fn leaves(node: &PNode<2>, out: &mut Vec<(usize, bool)>) {
+        match node {
+            PNode::Leaf {
+                entries, sorted, ..
+            } => out.push((entries.len(), *sorted)),
+            PNode::Interior { left, right, .. } => {
+                leaves(left, out);
+                leaves(right, out);
+            }
+        }
+    }
+
+    #[test]
+    fn one_point_update_into_a_leaf_with_room_sorts_nothing() {
+        use psi_parutils::stats::counters;
+        let pts = random_points(3_000, 11, 1_000_000);
+        let p = PointI::<2>::new([500_001, 499_999]);
+        assert!(!pts.contains(&p));
+        for cfg in [SpacConfig::spac(), SpacConfig::cpam()] {
+            let mut tree = SpacHTree::<2>::build_with_config(&pts, cfg);
+            let mut before = Vec::new();
+            leaves(tree.root(), &mut before);
+            assert!(
+                before.iter().all(|&(n, _)| n < cfg.leaf_cap),
+                "every leaf has room"
+            );
+
+            let ((), ins_sorts) = counters::LEAVES_SORTED.scoped(|| tree.batch_insert(&[p]));
+            tree.check_invariants();
+            let (removed, del_sorts) = counters::LEAVES_SORTED.scoped(|| tree.batch_delete(&[p]));
+            tree.check_invariants();
+            assert_eq!((tree.len(), removed), (3_000, 1));
+
+            let mut after = Vec::new();
+            leaves(tree.root(), &mut after);
+            assert_eq!(after.len(), before.len(), "no leaf was split or merged");
+            if cfg.sorted_leaves {
+                // CPAM merges the point into its leaf: that one sort, no other.
+                assert_eq!((ins_sorts, del_sorts), (1, 0));
+                assert!(after.iter().all(|&(_, sorted)| sorted));
+            } else {
+                assert_eq!((ins_sorts, del_sorts), (0, 0));
+                assert_eq!(after.iter().filter(|&&(_, sorted)| !sorted).count(), 1);
+            }
+        }
+    }
+
     #[test]
     fn delete_in_batches_until_empty() {
         let pts = random_points(3_000, 5, 500_000);

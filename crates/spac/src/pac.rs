@@ -8,6 +8,12 @@
 //! may be left unsorted by updates — lives in the `sorted` flag of leaf nodes
 //! and in [`SpacConfig::sorted_leaves`], which the CPAM baseline sets to force
 //! the original total-order behaviour.
+//!
+//! The primitives take subtrees as `Arc` handles: a subtree an update did
+//! not touch is re-linked under its new parent as the same handle, never
+//! copied. [`expose`] takes a node apart only where a rotation needs its
+//! children, and [`node_ctor`] keeps two leaves that already form a valid
+//! bottom node, so a leaf an update appended to is not sorted one level up.
 
 use crate::Entry;
 use psi_geometry::{PointI, Rect, RectI};
@@ -265,18 +271,23 @@ pub fn build_sorted_entries<const D: usize>(entries: &[Entry<D>], cfg: &SpacConf
         )
     };
     let pivot = entries[m];
-    interior(left, pivot, right)
+    interior(Arc::new(left), pivot, Arc::new(right))
 }
 
-/// Plain interior-node constructor: computes size and bounding box, performs
-/// no leaf wrapping. Callers that may produce small subtrees use [`node_ctor`].
-pub fn interior<const D: usize>(left: PNode<D>, pivot: Entry<D>, right: PNode<D>) -> PNode<D> {
+/// Plain interior-node constructor over two child handles: computes size
+/// and bounding box, performs no leaf wrapping. Callers that may produce
+/// small subtrees use [`node_ctor`].
+pub fn interior<const D: usize>(
+    left: Arc<PNode<D>>,
+    pivot: Entry<D>,
+    right: Arc<PNode<D>>,
+) -> PNode<D> {
     let size = left.size() + right.size() + 1;
     let mut bbox = left.bbox().merged(right.bbox());
     bbox.expand(&pivot.1);
     PNode::Interior {
-        left: Arc::new(left),
-        right: Arc::new(right),
+        left,
+        right,
         pivot,
         size,
         bbox,
@@ -290,50 +301,66 @@ pub fn sort_leaf<const D: usize>(entries: &mut [Entry<D>]) {
     entries.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.lex_cmp(&b.1)));
 }
 
-/// `Expose` (Alg. 4): view a subtree as `(left, pivot, right)`. For a leaf this
-/// sorts the block if it was left unsorted and splits it around its median
-/// entry; for an interior node it simply destructures it.
+/// `Expose` (Alg. 4): view a subtree as `(left, pivot, right)`. For an
+/// interior node this hands out its two child handles — nothing is copied,
+/// even when a snapshot shares the node. For a leaf it sorts the block if it
+/// was left unsorted and splits it around its median entry.
 ///
 /// Must not be called on an empty subtree.
-pub fn expose<const D: usize>(node: PNode<D>, cfg: &SpacConfig) -> (PNode<D>, Entry<D>, PNode<D>) {
-    match node {
-        PNode::Interior {
-            left, right, pivot, ..
-        } => (unshare(left), pivot, unshare(right)),
-        PNode::Leaf {
-            mut entries,
-            sorted,
-            ..
-        } => {
-            assert!(!entries.is_empty(), "cannot expose an empty leaf");
-            if !sorted {
-                sort_leaf(&mut entries);
-            }
-            let m = entries.len() / 2;
-            let pivot = entries[m];
-            let right: Vec<Entry<D>> = entries[m + 1..].to_vec();
-            entries.truncate(m);
-            let _ = cfg;
-            (
-                PNode::leaf_from(entries, true),
-                pivot,
-                PNode::leaf_from(right, true),
-            )
-        }
+pub fn expose<const D: usize>(node: Arc<PNode<D>>) -> (Arc<PNode<D>>, Entry<D>, Arc<PNode<D>>) {
+    if let PNode::Interior {
+        left, right, pivot, ..
+    } = &*node
+    {
+        // `node` drops on return, so uniquely held children are unique again.
+        return (Arc::clone(left), *pivot, Arc::clone(right));
     }
+    let PNode::Leaf {
+        mut entries,
+        sorted,
+        ..
+    } = unshare(node)
+    else {
+        unreachable!("interior nodes returned above")
+    };
+    assert!(!entries.is_empty(), "cannot expose an empty leaf");
+    if !sorted {
+        sort_leaf(&mut entries);
+    }
+    let m = entries.len() / 2;
+    let pivot = entries[m];
+    let right: Vec<Entry<D>> = entries[m + 1..].to_vec();
+    entries.truncate(m);
+    (
+        Arc::new(PNode::leaf_from(entries, true)),
+        pivot,
+        Arc::new(PNode::leaf_from(right, true)),
+    )
+}
+
+/// A non-empty leaf within the wrap limit `φ`: two of these around a pivot
+/// already form a valid bottom node.
+fn is_wrapped_leaf<const D: usize>(node: &PNode<D>, cfg: &SpacConfig) -> bool {
+    matches!(node, PNode::Leaf { entries, .. } if !entries.is_empty() && entries.len() <= cfg.leaf_cap)
 }
 
 /// `Node` (Alg. 4): create a node over `(left, pivot, right)` while maintaining
-/// the leaf-wrapping invariant: small results are flattened into a single leaf;
-/// results between `φ` and `2φ` are redistributed into two sorted leaves.
+/// the leaf-wrapping invariant. Results above `2φ`, and results between `φ`
+/// and `2φ` whose children are already two non-empty leaves of at most `φ`
+/// entries, link the two handles under a new interior node as they are: each
+/// leaf keeps its block and its `sorted` flag. Small results (at most `φ`)
+/// are flattened into a single leaf; any other result between `φ` and `2φ`
+/// is gathered and redistributed into two sorted leaves.
 pub fn node_ctor<const D: usize>(
-    left: PNode<D>,
+    left: Arc<PNode<D>>,
     pivot: Entry<D>,
-    right: PNode<D>,
+    right: Arc<PNode<D>>,
     cfg: &SpacConfig,
 ) -> PNode<D> {
     let n = left.size() + right.size() + 1;
-    if n > 2 * cfg.leaf_cap {
+    if n > 2 * cfg.leaf_cap
+        || (n > cfg.leaf_cap && is_wrapped_leaf(&left, cfg) && is_wrapped_leaf(&right, cfg))
+    {
         return interior(left, pivot, right);
     }
     // Gather all entries of the (small) subtree.
@@ -351,9 +378,9 @@ pub fn node_ctor<const D: usize>(
         let right_half: Vec<Entry<D>> = entries[m + 1..].to_vec();
         entries.truncate(m);
         interior(
-            PNode::leaf_from(entries, true),
+            Arc::new(PNode::leaf_from(entries, true)),
             new_pivot,
-            PNode::leaf_from(right_half, true),
+            Arc::new(PNode::leaf_from(right_half, true)),
         )
     } else {
         // Flatten into one leaf (Alg. 4 line 47). The CPAM baseline keeps the
@@ -369,11 +396,13 @@ pub fn node_ctor<const D: usize>(
 
 /// `Join` (Alg. 4): combine `left`, `pivot`, `right` (where every code in
 /// `left` is `<=` the pivot code `<=` every code in `right`) into a single
-/// weight-balanced tree.
+/// weight-balanced tree. A balanced pair goes straight to [`node_ctor`],
+/// which links the two handles without touching them; only a rotation
+/// exposes nodes along the heavier side's spine.
 pub fn join<const D: usize>(
-    left: PNode<D>,
+    left: Arc<PNode<D>>,
     pivot: Entry<D>,
-    right: PNode<D>,
+    right: Arc<PNode<D>>,
     cfg: &SpacConfig,
 ) -> PNode<D> {
     let (wl, wr) = (left.weight(), right.weight());
@@ -392,58 +421,58 @@ pub fn join<const D: usize>(
 /// until a subtree balances with `right`, attach, and fix balance on the way
 /// back up with single/double rotations.
 fn join_right<const D: usize>(
-    left: PNode<D>,
+    left: Arc<PNode<D>>,
     pivot: Entry<D>,
-    right: PNode<D>,
+    right: Arc<PNode<D>>,
     cfg: &SpacConfig,
 ) -> PNode<D> {
     if balanced(left.weight(), right.weight(), cfg) {
         return node_ctor(left, pivot, right, cfg);
     }
-    let (l, k, c) = expose(left, cfg);
+    let (l, k, c) = expose(left);
     let t = join_right(c, pivot, right, cfg);
-    rebalance_right_heavy(l, k, t, cfg)
+    rebalance_right_heavy(l, k, Arc::new(t), cfg)
 }
 
 /// Symmetric counterpart of [`join_right`].
 fn join_left<const D: usize>(
-    left: PNode<D>,
+    left: Arc<PNode<D>>,
     pivot: Entry<D>,
-    right: PNode<D>,
+    right: Arc<PNode<D>>,
     cfg: &SpacConfig,
 ) -> PNode<D> {
     if balanced(left.weight(), right.weight(), cfg) {
         return node_ctor(left, pivot, right, cfg);
     }
-    let (c, k, r) = expose(right, cfg);
+    let (c, k, r) = expose(right);
     let t = join_left(left, pivot, c, cfg);
-    rebalance_left_heavy(t, k, r, cfg)
+    rebalance_left_heavy(Arc::new(t), k, r, cfg)
 }
 
 /// After a recursive right join, the combination `(l, k, t)` may be right-heavy;
 /// restore the weight balance with a single or double left rotation.
 fn rebalance_right_heavy<const D: usize>(
-    l: PNode<D>,
+    l: Arc<PNode<D>>,
     k: Entry<D>,
-    t: PNode<D>,
+    t: Arc<PNode<D>>,
     cfg: &SpacConfig,
 ) -> PNode<D> {
     if balanced(l.weight(), t.weight(), cfg) {
         return node_ctor(l, k, t, cfg);
     }
     // t is too heavy relative to l.
-    let (t_l, t_k, t_r) = expose(t, cfg);
+    let (t_l, t_k, t_r) = expose(t);
     let wl = l.weight();
     if balanced(wl, t_l.weight(), cfg) && balanced(wl + t_l.weight(), t_r.weight(), cfg) {
         // Single left rotation.
-        node_ctor(node_ctor(l, k, t_l, cfg), t_k, t_r, cfg)
+        node_ctor(Arc::new(node_ctor(l, k, t_l, cfg)), t_k, t_r, cfg)
     } else {
         // Double rotation: rotate t's left child up first.
-        let (a, t_lk, b) = expose(t_l, cfg);
+        let (a, t_lk, b) = expose(t_l);
         node_ctor(
-            node_ctor(l, k, a, cfg),
+            Arc::new(node_ctor(l, k, a, cfg)),
             t_lk,
-            node_ctor(b, t_k, t_r, cfg),
+            Arc::new(node_ctor(b, t_k, t_r, cfg)),
             cfg,
         )
     }
@@ -451,26 +480,26 @@ fn rebalance_right_heavy<const D: usize>(
 
 /// Mirror image of [`rebalance_right_heavy`].
 fn rebalance_left_heavy<const D: usize>(
-    t: PNode<D>,
+    t: Arc<PNode<D>>,
     k: Entry<D>,
-    r: PNode<D>,
+    r: Arc<PNode<D>>,
     cfg: &SpacConfig,
 ) -> PNode<D> {
     if balanced(t.weight(), r.weight(), cfg) {
         return node_ctor(t, k, r, cfg);
     }
-    let (t_l, t_k, t_r) = expose(t, cfg);
+    let (t_l, t_k, t_r) = expose(t);
     let wr = r.weight();
     if balanced(t_r.weight(), wr, cfg) && balanced(t_l.weight(), t_r.weight() + wr, cfg) {
         // Single right rotation.
-        node_ctor(t_l, t_k, node_ctor(t_r, k, r, cfg), cfg)
+        node_ctor(t_l, t_k, Arc::new(node_ctor(t_r, k, r, cfg)), cfg)
     } else {
         // Double rotation through t's right child.
-        let (a, t_rk, b) = expose(t_r, cfg);
+        let (a, t_rk, b) = expose(t_r);
         node_ctor(
-            node_ctor(t_l, t_k, a, cfg),
+            Arc::new(node_ctor(t_l, t_k, a, cfg)),
             t_rk,
-            node_ctor(b, k, r, cfg),
+            Arc::new(node_ctor(b, k, r, cfg)),
             cfg,
         )
     }
@@ -479,15 +508,19 @@ fn rebalance_left_heavy<const D: usize>(
 /// Join without a middle entry: concatenate two trees whose code ranges are
 /// already ordered (`left` entirely `<=` `right`). Used by deletions when the
 /// pivot entry itself is removed.
-pub fn join2<const D: usize>(left: PNode<D>, right: PNode<D>, cfg: &SpacConfig) -> PNode<D> {
+pub fn join2<const D: usize>(
+    left: Arc<PNode<D>>,
+    right: Arc<PNode<D>>,
+    cfg: &SpacConfig,
+) -> PNode<D> {
     if left.size() == 0 {
-        return right;
+        return unshare(right);
     }
     if right.size() == 0 {
-        return left;
+        return unshare(left);
     }
-    let (rest, last) = split_last(left, cfg);
-    join(rest, last, right, cfg)
+    let (rest, last) = split_last(unshare(left), cfg);
+    join(Arc::new(rest), last, right, cfg)
 }
 
 /// Remove and return the entry with the largest code from the subtree
@@ -518,7 +551,7 @@ pub fn split_last<const D: usize>(node: PNode<D>, cfg: &SpacConfig) -> (PNode<D>
                 (unshare(left), pivot)
             } else {
                 let (rest, last) = split_last(unshare(right), cfg);
-                (join(unshare(left), pivot, rest, cfg), last)
+                (join(left, pivot, Arc::new(rest), cfg), last)
             }
         }
     }
@@ -668,11 +701,10 @@ mod tests {
 
     #[test]
     fn expose_of_unsorted_leaf_sorts_it() {
-        let cfg = SpacConfig::spac();
         let mut entries = sorted_entries(30);
         entries.reverse();
         let leaf = PNode::leaf_from(entries.clone(), false);
-        let (l, k, r) = expose(leaf, &cfg);
+        let (l, k, r) = expose(Arc::new(leaf));
         let mut all = Vec::new();
         l.collect_entries(&mut all);
         all.push(k);
@@ -684,22 +716,44 @@ mod tests {
     #[test]
     fn node_ctor_flattens_small_and_redistributes_medium() {
         let cfg = SpacConfig::spac();
+        let leaf = |n: i64| Arc::new(PNode::leaf_from(sorted_entries(n), true));
         // small: total 11 entries -> one leaf
-        let left = PNode::leaf_from(sorted_entries(5), true);
-        let right = PNode::leaf_from(sorted_entries(5), true);
-        let n = node_ctor(left, entry(1, 1), right, &cfg);
+        let n = node_ctor(leaf(5), entry(1, 1), leaf(5), &cfg);
         assert!(n.is_leaf());
         assert_eq!(n.size(), 11);
 
-        // medium: total between φ and 2φ -> interior with two sorted leaves
-        let left = PNode::leaf_from(sorted_entries(30), true);
-        let right = PNode::leaf_from(sorted_entries(30), true);
-        let n = node_ctor(left, entry(2, 2), right, &cfg);
-        assert!(!n.is_leaf());
-        assert_eq!(n.size(), 61);
+        // medium over an interior child: gathered into two sorted leaves
+        let inner = Arc::new(node_ctor(leaf(20), entry(3, 3), leaf(20), &cfg));
+        let n = node_ctor(inner, entry(2, 2), leaf(10), &cfg);
+        assert_eq!(n.size(), 52);
         match &n {
             PNode::Interior { left, right, .. } => {
                 assert!(left.is_leaf() && right.is_leaf());
+                assert_eq!(left.size(), 26);
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn node_ctor_keeps_a_valid_leaf_pair() {
+        let cfg = SpacConfig::spac();
+        let mut unsorted = sorted_entries(30);
+        unsorted.reverse();
+        let left = Arc::new(PNode::leaf_from(unsorted, false));
+        let right = Arc::new(PNode::leaf_from(sorted_entries(30), true));
+        let (l, r) = (Arc::clone(&left), Arc::clone(&right));
+        let (n, sorts) = counters::LEAVES_SORTED.scoped(|| node_ctor(l, entry(2, 2), r, &cfg));
+        assert_eq!((n.size(), sorts), (61, 0));
+        match &n {
+            PNode::Interior {
+                left: nl,
+                right: nr,
+                ..
+            } => {
+                // The very same blocks, sorted flags and all.
+                assert!(Arc::ptr_eq(nl, &left) && Arc::ptr_eq(nr, &right));
+                assert!(matches!(**nl, PNode::Leaf { sorted: false, .. }));
             }
             _ => unreachable!(),
         }
@@ -727,7 +781,7 @@ mod tests {
         let lmax = big.iter().map(|e| e.0).max().unwrap_or(0);
         let rmin = small.iter().map(|e| e.0).min().unwrap_or(u64::MAX);
         if lmax <= pivot.0 && pivot.0 <= rmin {
-            let joined = join(left, pivot, right, &cfg);
+            let joined = join(Arc::new(left), pivot, Arc::new(right), &cfg);
             assert_eq!(joined.size(), big.len() + small.len() + 1);
             check_invariants::<MortonCurve, 2>(&joined, &cfg);
         }
@@ -740,7 +794,7 @@ mod tests {
         let (a, b) = all.split_at(700);
         let left = build_sorted_entries(a, &cfg);
         let right = build_sorted_entries(b, &cfg);
-        let joined = join2(left, right, &cfg);
+        let joined = join2(Arc::new(left), Arc::new(right), &cfg);
         assert_eq!(joined.size(), 2_000);
         check_invariants::<MortonCurve, 2>(&joined, &cfg);
         let mut out = Vec::new();

@@ -4,11 +4,15 @@
 //! The batch is first encoded and sorted by SFC code (via the same HybridSort
 //! machinery as construction), then recursively split at each interior pivot
 //! and pushed down both subtrees in parallel; the two halves are recombined
-//! with `Join`, which performs all rebalancing. The SPaC-specific behaviour is
-//! at the leaves: an insertion that fits simply appends and marks the leaf
-//! unsorted (no comparison work at all), and only when the leaf overflows is
-//! it rebuilt — locally if small (the `4φ` heuristic of §C), or by exposing it
-//! and re-entering the batch insertion otherwise.
+//! with `Join`, which performs all rebalancing. Only children whose slice of
+//! the batch is non-empty are visited: an untouched subtree is handed back to
+//! `Join` as the same `Arc` handle and shared by the new parent, never copied
+//! or re-wrapped, so with a snapshot live an update copies just the nodes on
+//! the paths it reaches. The SPaC-specific behaviour is at the leaves: an
+//! insertion that fits simply appends and marks the leaf unsorted (no
+//! comparison work at all), and only when the leaf overflows is it rebuilt —
+//! locally if small (the `4φ` heuristic of §C), or by exposing it and
+//! re-entering the batch insertion otherwise.
 
 use crate::pac::{
     bbox_of_entries, build_sorted_entries, expose, join, join2, node_ctor, sort_leaf, unshare,
@@ -19,6 +23,7 @@ use psi_geometry::PointI;
 use psi_parutils::hybrid_sort_keys;
 use psi_sfc::SfcCurve;
 use rayon::join as par_join;
+use std::sync::Arc;
 
 /// Minimum number of batch entries below which the recursion stops forking.
 const PAR_GRAIN: usize = 512;
@@ -36,7 +41,7 @@ pub fn batch_insert<C: SfcCurve<D>, const D: usize>(
         .into_iter()
         .map(|(code, id)| (code, points[id as usize]))
         .collect();
-    insert_sorted(tree, &batch, cfg)
+    unshare(insert_sorted(Arc::new(tree), &batch, cfg))
 }
 
 /// Delete `points` from `tree`, returning the new root. Multiset semantics:
@@ -51,19 +56,20 @@ pub fn batch_delete<C: SfcCurve<D>, const D: usize>(
         .into_iter()
         .map(|(code, id)| (code, points[id as usize]))
         .collect();
-    delete_sorted(tree, &batch, cfg)
+    unshare(delete_sorted(Arc::new(tree), &batch, cfg))
 }
 
-/// `InsertSorted` (Alg. 4): `batch` must be sorted by code.
+/// `InsertSorted` (Alg. 4): `batch` must be sorted by code. An empty batch
+/// hands `tree` back untouched.
 pub fn insert_sorted<const D: usize>(
-    tree: PNode<D>,
+    tree: Arc<PNode<D>>,
     batch: &[Entry<D>],
     cfg: &SpacConfig,
-) -> PNode<D> {
+) -> Arc<PNode<D>> {
     if batch.is_empty() {
         return tree;
     }
-    match tree {
+    Arc::new(match unshare(tree) {
         PNode::Leaf {
             mut entries,
             sorted,
@@ -106,10 +112,10 @@ pub fn insert_sorted<const D: usize>(
                     sorted,
                     bbox,
                 };
-                let (l, k, r) = expose(leaf, cfg);
+                let (l, k, r) = expose(Arc::new(leaf));
                 let node = node_ctor(l, k, r, cfg);
                 match node {
-                    PNode::Interior { .. } => insert_sorted(node, batch, cfg),
+                    PNode::Interior { .. } => unshare(insert_sorted(Arc::new(node), batch, cfg)),
                     // The leaf was so small it re-wrapped into a leaf again;
                     // fall back to the rebuild path to guarantee progress.
                     PNode::Leaf { mut entries, .. } => {
@@ -124,35 +130,35 @@ pub fn insert_sorted<const D: usize>(
             left, right, pivot, ..
         } => {
             // Split the batch at the pivot code (Alg. 4 line 14) and recurse in
-            // parallel (line 15).
+            // parallel (line 15) into the children it reaches.
             let t = batch.partition_point(|e| e.0 < pivot.0);
             let (lbatch, rbatch) = batch.split_at(t);
             let (new_left, new_right) = if batch.len() >= PAR_GRAIN {
                 par_join(
-                    || insert_sorted(unshare(left), lbatch, cfg),
-                    || insert_sorted(unshare(right), rbatch, cfg),
+                    || insert_sorted(left, lbatch, cfg),
+                    || insert_sorted(right, rbatch, cfg),
                 )
             } else {
                 (
-                    insert_sorted(unshare(left), lbatch, cfg),
-                    insert_sorted(unshare(right), rbatch, cfg),
+                    insert_sorted(left, lbatch, cfg),
+                    insert_sorted(right, rbatch, cfg),
                 )
             };
             join(new_left, pivot, new_right, cfg)
         }
-    }
+    })
 }
 
 /// Deletion counterpart of [`insert_sorted`]; `batch` must be sorted by code.
 pub fn delete_sorted<const D: usize>(
-    tree: PNode<D>,
+    tree: Arc<PNode<D>>,
     batch: &[Entry<D>],
     cfg: &SpacConfig,
-) -> PNode<D> {
+) -> Arc<PNode<D>> {
     if batch.is_empty() {
         return tree;
     }
-    match tree {
+    Arc::new(match unshare(tree) {
         PNode::Leaf {
             mut entries,
             sorted,
@@ -183,13 +189,13 @@ pub fn delete_sorted<const D: usize>(
 
             let (new_left, new_right) = if batch.len() >= PAR_GRAIN {
                 par_join(
-                    || delete_sorted(unshare(left), lbatch, cfg),
-                    || delete_sorted(unshare(right), rbatch, cfg),
+                    || delete_sorted(left, lbatch, cfg),
+                    || delete_sorted(right, rbatch, cfg),
                 )
             } else {
                 (
-                    delete_sorted(unshare(left), lbatch, cfg),
-                    delete_sorted(unshare(right), rbatch, cfg),
+                    delete_sorted(left, lbatch, cfg),
+                    delete_sorted(right, rbatch, cfg),
                 )
             };
             let mut tree = join(new_left, pivot, new_right, cfg);
@@ -210,12 +216,13 @@ pub fn delete_sorted<const D: usize>(
             }
             tree
         }
-    }
+    })
 }
 
 /// Remove up to `count` stored entries equal to `target` (code and point) from
 /// the subtree, returning the new subtree and how many were removed. Only the
-/// parts of the tree whose code range can contain `target.0` are visited.
+/// parts of the tree whose code range can contain `target.0` are visited;
+/// every other subtree is handed back as the same handle.
 fn delete_matching<const D: usize>(
     node: PNode<D>,
     target: &Entry<D>,
@@ -253,24 +260,22 @@ fn delete_matching<const D: usize>(
         PNode::Interior {
             left, right, pivot, ..
         } => {
-            let mut removed = 0;
-            let new_left = if target.0 <= pivot.0 {
-                let (l, r) = delete_matching(unshare(left), target, count, cfg);
+            // The pivot first: when it is the match, neither side is visited.
+            let pivot_matches = pivot.0 == target.0 && pivot.1 == target.1;
+            let mut removed = pivot_matches as usize;
+            let new_left = if removed < count && target.0 <= pivot.0 {
+                let (l, r) = delete_matching(unshare(left), target, count - removed, cfg);
                 removed += r;
-                l
+                Arc::new(l)
             } else {
-                unshare(left)
+                left
             };
-            let pivot_matches = removed < count && pivot.0 == target.0 && pivot.1 == target.1;
-            if pivot_matches {
-                removed += 1;
-            }
             let new_right = if removed < count && target.0 >= pivot.0 {
                 let (r, c) = delete_matching(unshare(right), target, count - removed, cfg);
                 removed += c;
-                r
+                Arc::new(r)
             } else {
-                unshare(right)
+                right
             };
             let tree = if pivot_matches {
                 join2(new_left, new_right, cfg)
@@ -355,7 +360,7 @@ mod tests {
         let cfg = SpacConfig::spac();
         let mut batch: Vec<Entry<2>> = (0..100).map(|i| entry(i, i * 2)).collect();
         sort_entries(&mut batch);
-        let tree = insert_sorted(PNode::empty(), &batch, &cfg);
+        let tree = insert_sorted(Arc::new(PNode::empty()), &batch, &cfg);
         assert_eq!(tree.size(), 100);
         crate::pac::check_invariants::<MortonCurve, 2>(&tree, &cfg);
     }
@@ -374,8 +379,8 @@ mod tests {
         );
         let mut batch = vec![entry(5, 5)];
         sort_entries(&mut batch);
-        let tree = insert_sorted(tree, &batch, &cfg);
-        match &tree {
+        let tree = insert_sorted(Arc::new(tree), &batch, &cfg);
+        match &*tree {
             PNode::Leaf { sorted, .. } => assert!(!sorted),
             _ => panic!("11 entries must still be one leaf"),
         }
@@ -389,8 +394,8 @@ mod tests {
         let tree = build_sorted_entries(&base, &cfg);
         let mut batch = vec![entry(5, 5)];
         sort_entries(&mut batch);
-        let tree = insert_sorted(tree, &batch, &cfg);
-        match &tree {
+        let tree = insert_sorted(Arc::new(tree), &batch, &cfg);
+        match &*tree {
             PNode::Leaf {
                 sorted, entries, ..
             } => {
@@ -412,7 +417,7 @@ mod tests {
             PNode::Interior { pivot, .. } => *pivot,
             _ => panic!("500 entries should build an interior root"),
         };
-        let tree = delete_sorted(tree, &[pivot], &cfg);
+        let tree = delete_sorted(Arc::new(tree), &[pivot], &cfg);
         assert_eq!(tree.size(), 499);
         crate::pac::check_invariants::<MortonCurve, 2>(&tree, &cfg);
     }
