@@ -2,8 +2,8 @@
 //!
 //! * **unsorted leaves** — SPaC-trees vs the same tree forced to keep leaves
 //!   totally ordered (the CPAM behaviour); the paper's central ablation,
-//! * **HybridSort** — fusing SFC-code computation into the first sorting pass
-//!   vs pre-computing codes and sorting full records (§4.1),
+//! * **HybridSort** — sorting `⟨code, id⟩` pairs and gathering the points once
+//!   vs sorting full `⟨code, point⟩` records (§4.1),
 //! * **λ sweep** — how many levels a single P-Orth sieve pass should build (§C),
 //! * **leaf wrap φ sweep** — the block size of the SPaC-tree's leaves (§C).
 

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use psi::{HilbertCurve, MortonCurve, Point, PointI, SfcCurve};
 use psi_parutils::{exclusive_scan, hybrid_sort_keys, par_sort_by_key, sieve_by};
+use psi_sfc::hilbert::skilling_key;
 use psi_workloads as workloads;
 use std::time::Duration;
 
@@ -28,6 +29,15 @@ fn bench_sfc(c: &mut Criterion) {
                 .fold(0u64, u64::wrapping_add)
         })
     });
+    // Skilling's transform, the reference the table-driven Hilbert encoder is
+    // checked against, on the same points.
+    group.bench_function("hilbert2_skilling", |b| {
+        b.iter(|| {
+            pts.iter()
+                .map(|p| skilling_key::<2>(p.coords.map(|c| c as u32), 32))
+                .fold(0u64, u64::wrapping_add)
+        })
+    });
     let pts3: Vec<PointI<3>> = workloads::uniform::<3>(100_000, workloads::DEFAULT_MAX_COORD_3D, 1);
     group.bench_function("morton3", |b| {
         b.iter(|| {
@@ -40,6 +50,13 @@ fn bench_sfc(c: &mut Criterion) {
         b.iter(|| {
             pts3.iter()
                 .map(<HilbertCurve as SfcCurve<3>>::encode)
+                .fold(0u64, u64::wrapping_add)
+        })
+    });
+    group.bench_function("hilbert3_skilling", |b| {
+        b.iter(|| {
+            pts3.iter()
+                .map(|p| skilling_key::<3>(p.coords.map(|c| c as u32), 21))
                 .fold(0u64, u64::wrapping_add)
         })
     });

@@ -16,8 +16,8 @@
 //!   reorders a point sequence so that all points falling into the same bucket
 //!   of a tree skeleton become contiguous, returning the bucket boundaries,
 //! * [`sort`] — a parallel sample sort over `(u64 key, u32 id)` pairs plus the
-//!   paper's **HybridSort** (Alg. 3) that computes SFC codes lazily during the
-//!   first distribution round,
+//!   paper's **HybridSort** (Alg. 3), which sorts `⟨code, id⟩` pairs whose
+//!   codes one parallel pass computes before the sort,
 //! * [`cow`] — copy-on-write access to `Arc`-shared tree nodes (path
 //!   copying), counting every node a shared path forces a copy of,
 //! * [`stats`] — lightweight atomic instrumentation counters used by the

@@ -2,15 +2,16 @@
 //!
 //! The SPaC-tree construction (Alg. 3) does not sort points directly; it sorts
 //! lightweight `⟨code, id⟩` pairs where `code` is the SFC key and `id` indexes
-//! the original point array, and — crucially — computes the code lazily the
-//! first time a point is touched by the sort, saving one full read/write round
-//! over the naive "compute codes, then sort" pipeline (§4.1 credits this with
-//! a large share of the 3.1–3.5× speed-up over the plain CPAM adaptation).
+//! the original point array, so the sort moves 12-byte pairs instead of full
+//! `⟨code, point⟩` records (§4.1 credits HybridSort with a large share of the
+//! 3.1–3.5× speed-up over the plain CPAM adaptation). The paper computes each
+//! code inside the sort's first distribution pass; here one parallel map reads
+//! every point once, computes its code and writes the pair array, and the
+//! sample sort then runs on the pairs alone.
 //!
 //! [`par_sort_by_key`] is a general parallel sample sort used wherever an index
 //! needs to order things (batch preprocessing, Zd-tree Morton presort, leaf
-//! re-sorting). [`hybrid_sort_keys`] is the fused variant for `⟨code, id⟩`
-//! pairs.
+//! re-sorting). [`hybrid_sort_keys`] is the `⟨code, id⟩` variant.
 
 use crate::sieve::sieve_by;
 use crate::{par2, SEQ_THRESHOLD};
@@ -107,8 +108,9 @@ pub fn par_sort_unstable<T: Ord + Copy + Send + Sync>(data: &mut [T]) {
 
 /// The paper's HybridSort (Alg. 3, lines 5–19): produce the sequence of
 /// `⟨code, id⟩` pairs for `points`, sorted by code (ties broken by id for
-/// determinism), computing each point's code exactly once during the first
-/// distribution pass rather than in a separate preprocessing round.
+/// determinism). Each point's code is computed exactly once, by a parallel map
+/// that writes the pair array before the sample sort starts; the points are
+/// not read again.
 pub fn hybrid_sort_keys<P, F>(points: &[P], code_of: F) -> Vec<(u64, u32)>
 where
     P: Sync,

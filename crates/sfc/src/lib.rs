@@ -11,6 +11,11 @@
 //! The paper's evaluation uses coordinates in `[0, 10^9]` (2-D, < 2^30) and
 //! `[0, 10^6]` (3-D, < 2^20), so both fit comfortably.
 //!
+//! Morton codes are bit interleaves (spread with shifts and masks). Hilbert
+//! codes in 2-D and 3-D come from a table-driven automaton indexed by the
+//! Morton code, a few levels per lookup; Skilling's transpose is the reference
+//! that defines them, encodes every other dimension and checks the tables.
+//!
 //! Codes are produced as `u64` and are *compared only* — no arithmetic is ever
 //! done on them — so any monotone embedding works. The defining property (and
 //! the one the property tests check) is that sorting by code yields the same

@@ -2,10 +2,10 @@
 //!
 //! Two paths are provided, selected by [`SpacConfig::presort`]:
 //!
-//! * **HybridSort path** (SPaC, the paper's contribution): the SFC code of a
-//!   point is computed the first time the sort touches it, and only the
-//!   lightweight `⟨code, id⟩` pairs travel through the recursive sort; the
-//!   points themselves are fetched once at the end, when leaves are formed.
+//! * **HybridSort path** (SPaC, the paper's contribution): one parallel pass
+//!   computes each point's SFC code into a lightweight `⟨code, id⟩` pair, and
+//!   only the pairs travel through the recursive sort; the points themselves
+//!   are fetched once at the end, when leaves are formed.
 //! * **Presort path** (CPAM baseline): codes are computed for all points in a
 //!   separate preprocessing pass, full `⟨code, point⟩` records are sorted, and
 //!   the tree is built from the sorted records — the straightforward adaptation
@@ -36,8 +36,8 @@ pub fn build_tree<C: SfcCurve<D>, const D: usize>(
 }
 
 /// Produce the sorted entry sequence with the paper's HybridSort: codes are
-/// computed inside the first pass of the sort and only `⟨code, id⟩` pairs are
-/// moved until the final gather.
+/// computed once into `⟨code, id⟩` pairs, and only the pairs are moved until
+/// the final gather.
 pub fn hybrid_entries<C: SfcCurve<D>, const D: usize>(points: &[PointI<D>]) -> Vec<Entry<D>> {
     let pairs = hybrid_sort_keys(points, |p| {
         counters::CODES_COMPUTED.bump();
@@ -69,18 +69,6 @@ pub fn presort_entries<C: SfcCurve<D>, const D: usize>(points: &[PointI<D>]) -> 
 #[cfg_attr(not(test), allow(dead_code))]
 pub fn sort_entries<const D: usize>(entries: &mut [Entry<D>]) {
     par_sort_by_key(entries, |e| (e.0, e.1));
-}
-
-/// Encode a batch of points into (still unsorted) entries.
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn encode_batch<C: SfcCurve<D>, const D: usize>(points: &[PointI<D>]) -> Vec<Entry<D>> {
-    points
-        .par_iter()
-        .map(|p| {
-            counters::CODES_COMPUTED.bump();
-            (C::encode(p), *p)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -135,14 +123,5 @@ mod tests {
         let t = build_tree::<MortonCurve, 2>(&pts, &SpacConfig::spac());
         assert_eq!(t.size(), 2);
         assert!(t.is_leaf());
-    }
-
-    #[test]
-    fn encode_batch_matches_curve() {
-        let pts = random_points(100, 3);
-        let entries = encode_batch::<HilbertCurve, 2>(&pts);
-        for (code, p) in &entries {
-            assert_eq!(*code, <HilbertCurve as SfcCurve<2>>::encode(p));
-        }
     }
 }

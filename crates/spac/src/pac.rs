@@ -37,15 +37,11 @@ pub struct SpacConfig {
     /// `false` (SPaC), batch updates append to leaves and defer sorting until
     /// a join needs to expose the leaf.
     pub sorted_leaves: bool,
-    /// Pre-compute all SFC codes into a keyed pair array before sorting
-    /// (CPAM-style construction) instead of fusing code computation into the
-    /// first pass of the sample sort (the paper's HybridSort).
+    /// Build the CPAM way: encode every point into a full `⟨code, point⟩`
+    /// record and sort the records. When `false` (the paper's HybridSort),
+    /// codes go into lightweight `⟨code, id⟩` pairs, only the pairs are
+    /// sorted, and the points are gathered once at the end.
     pub presort: bool,
-    /// Leaf-overflow heuristic threshold from §C, as a multiple of `φ`: an
-    /// overflowing leaf plus its incoming batch is rebuilt locally when the
-    /// combined size is below `rebuild_mul * φ`, and exposed + batch-inserted
-    /// otherwise.
-    pub rebuild_mul: usize,
 }
 
 /// `Default` is the paper's SPaC-tree preset ([`SpacConfig::spac`]).
@@ -64,7 +60,6 @@ impl SpacConfig {
             alpha_den: 5,
             sorted_leaves: false,
             presort: false,
-            rebuild_mul: 4,
         }
     }
 

@@ -10,13 +10,12 @@
 //! or re-wrapped, so with a snapshot live an update copies just the nodes on
 //! the paths it reaches. The SPaC-specific behaviour is at the leaves: an
 //! insertion that fits simply appends and marks the leaf unsorted (no
-//! comparison work at all), and only when the leaf overflows is it rebuilt —
-//! locally if small (the `4φ` heuristic of §C), or by exposing it and
-//! re-entering the batch insertion otherwise.
+//! comparison work at all), and only when the leaf overflows is it rebuilt:
+//! its entries and the batch slice are merged, sorted once and rebuilt into a
+//! subtree (§C).
 
 use crate::pac::{
-    bbox_of_entries, build_sorted_entries, expose, join, join2, node_ctor, sort_leaf, unshare,
-    PNode, SpacConfig,
+    bbox_of_entries, build_sorted_entries, join, join2, sort_leaf, unshare, PNode, SpacConfig,
 };
 use crate::Entry;
 use psi_geometry::PointI;
@@ -72,8 +71,8 @@ pub fn insert_sorted<const D: usize>(
     Arc::new(match unshare(tree) {
         PNode::Leaf {
             mut entries,
-            sorted,
             mut bbox,
+            ..
         } => {
             let total = entries.len() + batch.len();
             if total <= cfg.leaf_cap {
@@ -99,31 +98,12 @@ pub fn insert_sorted<const D: usize>(
                         bbox,
                     }
                 }
-            } else if total <= cfg.rebuild_mul * cfg.leaf_cap {
-                // Localised rebuild (§C): merge and rebuild this small subtree.
+            } else {
+                // Overflow (§C): merge the leaf with its batch slice, sort
+                // once and rebuild the subtree.
                 entries.extend_from_slice(batch);
                 sort_leaf(&mut entries);
                 build_sorted_entries(&entries, cfg)
-            } else {
-                // Large batch landing on one leaf: expose the leaf into a tree
-                // and re-enter the batch insertion on it (§C).
-                let leaf = PNode::Leaf {
-                    entries,
-                    sorted,
-                    bbox,
-                };
-                let (l, k, r) = expose(Arc::new(leaf));
-                let node = node_ctor(l, k, r, cfg);
-                match node {
-                    PNode::Interior { .. } => unshare(insert_sorted(Arc::new(node), batch, cfg)),
-                    // The leaf was so small it re-wrapped into a leaf again;
-                    // fall back to the rebuild path to guarantee progress.
-                    PNode::Leaf { mut entries, .. } => {
-                        entries.extend_from_slice(batch);
-                        sort_leaf(&mut entries);
-                        build_sorted_entries(&entries, cfg)
-                    }
-                }
             }
         }
         PNode::Interior {
