@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for the paper's design choices:
 //!
 //! * **unsorted leaves** — SPaC-trees vs the same tree forced to keep leaves
 //!   totally ordered (the CPAM behaviour); the paper's central ablation,

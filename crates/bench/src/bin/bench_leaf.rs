@@ -19,6 +19,7 @@
 
 use psi_geometry::leaf::{aos_knn_offer, aos_range_count, aos_range_visit};
 use psi_geometry::{Coord, KnnHeap, LeafSoA, Point, Rect};
+use psi_obs::Json;
 use psi_workloads as workloads;
 use std::time::Instant;
 
@@ -359,26 +360,32 @@ fn main() {
         );
     }
 
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"coord\": \"{}\", \"leaf_size\": {}, \"kernel\": \"{}\", \"aos_points_per_sec\": {:.0}, \"soa_points_per_sec\": {:.0}, \"soa_over_aos\": {:.3}}}",
-                c.coord, c.leaf_size, c.kernel, c.aos_pps, c.soa_pps, c.ratio()
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"leaf_scan_aos_vs_soa\",\n  {},\n  \"pools\": {},\n  \"points_per_cell\": {},\n  \"k\": {},\n  \"reps\": {},\n  \"soa_ge_aos_on_every_cell\": {},\n  \"note\": \"best-of-reps wall clock, AoS/SoA reps interleaved across {} independently allocated pools; pts/s = leaf points scanned per second; kNN heap persists across a pass as in a real query; kernels run on one thread\",\n  \"cells\": [\n{}\n  ]\n}}\n",
-        psi_bench::host_meta_json(),
-        NUM_POOLS,
-        POINTS_PER_CELL,
-        K,
-        reps,
-        all_soa_ge_aos,
-        NUM_POOLS,
-        rows.join(",\n")
+    let rows = cells.iter().map(|c| {
+        Json::obj([
+            ("coord", c.coord.into()),
+            ("leaf_size", c.leaf_size.into()),
+            ("kernel", c.kernel.into()),
+            ("aos_points_per_sec", c.aos_pps.into()),
+            ("soa_points_per_sec", c.soa_pps.into()),
+            ("soa_over_aos", c.ratio().into()),
+        ])
+    });
+    let note = format!(
+        "best-of-reps wall clock, AoS/SoA reps interleaved across {NUM_POOLS} independently \
+         allocated pools; pts/s = leaf points scanned per second; kNN heap persists across a \
+         pass as in a real query; kernels run on one thread"
     );
-    std::fs::write(&out_path, json).expect("failed to write benchmark output");
-    println!("# wrote {out_path}");
+    let doc = psi_bench::bench_json(
+        "leaf_scan_aos_vs_soa",
+        [
+            ("pools", NUM_POOLS.into()),
+            ("points_per_cell", POINTS_PER_CELL.into()),
+            ("k", K.into()),
+            ("reps", reps.into()),
+            ("soa_ge_aos_on_every_cell", all_soa_ge_aos.into()),
+            ("note", note.into()),
+            ("cells", Json::Arr(rows.collect())),
+        ],
+    );
+    psi_bench::write_json(&out_path, &doc);
 }

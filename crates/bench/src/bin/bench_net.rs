@@ -24,23 +24,14 @@ use psi::registry::{self, BuildOptions};
 use psi::PointI;
 use psi_net::loadgen::{fanout, replay_checksum, FanoutSpec};
 use psi_net::{fd_budget, loopback, NetConfig, NetServer};
+use psi_obs::Json;
 use psi_server::{IndexFactory, PsiServer, ServeConfig};
 use psi_workloads as workloads;
 use std::sync::Arc;
 
 const MAX_COORD: i64 = 1_000_000_000;
 
-struct Cell {
-    connections: usize,
-    ops: usize,
-    elapsed: f64,
-    qps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    coalesce: f64,
-    checksum: u64,
-}
-
+/// One fan-out cell: printed, and returned as its `cells` row.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     family: &'static str,
@@ -51,7 +42,7 @@ fn run_cell(
     spec_base: &FanoutSpec,
     shards: usize,
     coalesce: usize,
-) -> Cell {
+) -> Json {
     let universe = workloads::universe::<2>(MAX_COORD);
     let opts = BuildOptions::with_universe(universe);
     let factory: IndexFactory<i64, 2> = Arc::new(move |pts: &[PointI<2>]| {
@@ -85,16 +76,22 @@ fn run_cell(
         out.checksum, replay,
         "x{connections}: socket answers diverged from in-process replay"
     );
-    Cell {
-        connections: out.connections,
-        ops: out.ops,
-        elapsed: out.elapsed_secs,
-        qps: out.throughput_qps,
-        p50_ms: out.p50_ms,
-        p99_ms: out.p99_ms,
-        coalesce: served as f64 / flushes.max(1) as f64,
-        checksum: out.checksum,
-    }
+    let coalesce_factor = served as f64 / flushes.max(1) as f64;
+    println!(
+        "conns={:<5} {:>8.0} q/s  p50={:>8.3}ms p99={:>8.3}ms  coalesce={:.1}x  checksum={:016x} ok",
+        out.connections, out.throughput_qps, out.p50_ms, out.p99_ms, coalesce_factor, out.checksum
+    );
+    Json::obj([
+        ("connections", out.connections.into()),
+        ("ops", out.ops.into()),
+        ("elapsed_secs", out.elapsed_secs.into()),
+        ("qps", out.throughput_qps.into()),
+        ("p50_ms", out.p50_ms.into()),
+        ("p99_ms", out.p99_ms.into()),
+        ("coalesce_factor", coalesce_factor.into()),
+        ("checksum", format!("{:016x}", out.checksum).into()),
+        ("checksum_ok", true.into()),
+    ])
 }
 
 fn main() {
@@ -167,7 +164,7 @@ fn main() {
         "# bench_net: family = {family}, n = {n}, rounds/conn = {rounds}, shards = {shards}, \
          coalesce = {coalesce}, workers = {workers}, fd budget = {budget} (max {max_conns} conns)"
     );
-    let mut cells: Vec<String> = Vec::new();
+    let mut cells: Vec<Json> = Vec::new();
     let mut done: Vec<usize> = Vec::new();
     for &want in counts {
         let connections = want.min(max_conns);
@@ -178,7 +175,7 @@ fn main() {
             continue;
         }
         done.push(connections);
-        let cell = run_cell(
+        cells.push(run_cell(
             family,
             &data,
             &queries,
@@ -187,50 +184,29 @@ fn main() {
             &spec_base,
             shards,
             coalesce,
-        );
-        println!(
-            "conns={:<5} {:>8.0} q/s  p50={:>8.3}ms p99={:>8.3}ms  coalesce={:.1}x  checksum={:016x} ok",
-            cell.connections,
-            cell.qps,
-            cell.p50_ms,
-            cell.p99_ms,
-            cell.coalesce,
-            cell.checksum
-        );
-        cells.push(format!(
-            "    {{\"connections\": {}, \"ops\": {}, \"elapsed_secs\": {:.4}, \
-             \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-             \"coalesce_factor\": {:.2}, \"checksum\": \"{:016x}\", \"checksum_ok\": true}}",
-            cell.connections,
-            cell.ops,
-            cell.elapsed,
-            cell.qps,
-            cell.p50_ms,
-            cell.p99_ms,
-            cell.coalesce,
-            cell.checksum
         ));
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"net_fanout\",\n  {},\n  \"family\": \"{}\",\n  \"n\": {},\n  \
-         \"rounds_per_connection\": {},\n  \"k\": {},\n  \"shards\": {},\n  \
-         \"coalesce_max_batch\": {},\n  \"workers\": {},\n  \"fd_budget\": {},\n  \
-         \"note\": \"closed-loop fan-out over real loopback TCP (psi-net wire protocol); every \
-         connection has one request in flight, so conns = concurrent outstanding requests at the \
-         coalescer; checksum_ok = socket replies bit-identical to in-process replay\",\n  \
-         \"cells\": [\n{}\n  ]\n}}\n",
-        psi_bench::host_meta_json(),
-        family,
-        n,
-        rounds,
-        k,
-        shards,
-        coalesce,
-        workers,
-        budget,
-        cells.join(",\n")
+    let doc = psi_bench::bench_json(
+        "net_fanout",
+        [
+            ("family", family.into()),
+            ("n", n.into()),
+            ("rounds_per_connection", rounds.into()),
+            ("k", k.into()),
+            ("shards", shards.into()),
+            ("coalesce_max_batch", coalesce.into()),
+            ("workers", workers.into()),
+            ("fd_budget", budget.into()),
+            (
+                "note",
+                "closed-loop fan-out over real loopback TCP (psi-net wire protocol); every \
+                 connection has one request in flight, so conns = concurrent outstanding requests \
+                 at the coalescer; checksum_ok = socket replies bit-identical to in-process replay"
+                    .into(),
+            ),
+            ("cells", cells.into()),
+        ],
     );
-    std::fs::write(&out, json).expect("failed to write benchmark output");
-    println!("# wrote {out}");
+    psi_bench::write_json(&out, &doc);
 }

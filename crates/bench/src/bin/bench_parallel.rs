@@ -26,6 +26,7 @@
 
 use psi::registry::{self, BuildOptions, DynIndex};
 use psi_bench::BenchConfig;
+use psi_obs::Json;
 use psi_workloads as workloads;
 use std::time::Instant;
 
@@ -34,6 +35,14 @@ struct Sample {
     threads: usize,
     secs: f64,
     qps: f64,
+}
+
+impl Sample {
+    /// `ops` operations in `secs` on `threads` workers.
+    fn new(threads: usize, secs: f64, ops: usize) -> Self {
+        let qps = ops as f64 / secs;
+        Sample { threads, secs, qps }
+    }
 }
 
 fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
@@ -68,17 +77,15 @@ fn time_best<R>(reps: usize, mut op: impl FnMut() -> R) -> (f64, R) {
     (best, result)
 }
 
-fn json_samples(samples: &[Sample]) -> String {
-    let rows: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"threads\": {}, \"secs\": {:.6}, \"qps\": {:.1}}}",
-                s.threads, s.secs, s.qps
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(", "))
+fn json_samples(samples: &[Sample]) -> Json {
+    let rows = samples.iter().map(|s| {
+        Json::obj([
+            ("threads", s.threads.into()),
+            ("secs", s.secs.into()),
+            ("qps", s.qps.into()),
+        ])
+    });
+    Json::Arr(rows.collect())
 }
 
 fn speedup(samples: &[Sample]) -> f64 {
@@ -139,7 +146,7 @@ fn main() {
         rayon::current_num_threads()
     );
 
-    let mut family_blocks: Vec<String> = Vec::new();
+    let mut family_blocks: Vec<Json> = Vec::new();
     for &name in registry::names() {
         let index: Box<dyn DynIndex<i64, 2>> =
             registry::create::<2>(name, &data, &opts).expect("registry families all build");
@@ -165,52 +172,42 @@ fn main() {
                 None => range_reference = Some(range_out),
                 Some(r) => identical &= *r == range_out,
             }
-            knn_samples.push(Sample {
-                threads: t,
-                secs: knn_secs,
-                qps: qs.knn_ind.len() as f64 / knn_secs,
-            });
-            range_samples.push(Sample {
-                threads: t,
-                secs: range_secs,
-                qps: qs.ranges.len() as f64 / range_secs,
-            });
+            let knn = Sample::new(t, knn_secs, qs.knn_ind.len());
+            let range = Sample::new(t, range_secs, qs.ranges.len());
             println!(
                 "{:<12} threads={:<3} knn_batch={:>9.4}s ({:>10.0} q/s)  range_count_batch={:>9.4}s ({:>10.0} q/s)",
-                name,
-                t,
-                knn_secs,
-                qs.knn_ind.len() as f64 / knn_secs,
-                range_secs,
-                qs.ranges.len() as f64 / range_secs,
+                name, t, knn.secs, knn.qps, range.secs, range.qps,
             );
+            knn_samples.push(knn);
+            range_samples.push(range);
         }
         assert!(
             identical,
             "{name}: parallel results must be bit-identical to single-thread"
         );
-        family_blocks.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"knn_batch\": {},\n      \"range_count_batch\": {},\n      \"speedup_knn_best_vs_1\": {:.2},\n      \"speedup_range_best_vs_1\": {:.2},\n      \"identical_to_sequential\": true\n    }}",
-            name,
-            json_samples(&knn_samples),
-            json_samples(&range_samples),
-            speedup(&knn_samples),
-            speedup(&range_samples),
-        ));
+        family_blocks.push(Json::obj([
+            ("name", name.into()),
+            ("knn_batch", json_samples(&knn_samples)),
+            ("range_count_batch", json_samples(&range_samples)),
+            ("speedup_knn_best_vs_1", speedup(&knn_samples).into()),
+            ("speedup_range_best_vs_1", speedup(&range_samples).into()),
+            ("identical_to_sequential", true.into()),
+        ]));
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"parallel_batch_queries\",\n  {},\n  \"n\": {},\n  \"knn_queries\": {},\n  \"k\": {},\n  \"range_queries\": {},\n  \"reps\": {},\n  \"note\": \"best-of-reps wall clock; qps = queries per second; thread counts above machine_threads oversubscribe and cannot speed up\",\n  \"indexes\": [\n{}\n  ]\n}}\n",
-        psi_bench::host_meta_json(),
-        cfg.n,
-        qs.knn_ind.len(),
-        cfg.k,
-        qs.ranges.len(),
-        reps,
-        family_blocks.join(",\n")
+    let doc = psi_bench::bench_json(
+        "parallel_batch_queries",
+        [
+            ("n", cfg.n.into()),
+            ("knn_queries", qs.knn_ind.len().into()),
+            ("k", cfg.k.into()),
+            ("range_queries", qs.ranges.len().into()),
+            ("reps", reps.into()),
+            ("note", "best-of-reps wall clock; qps = queries per second; thread counts above machine_threads oversubscribe and cannot speed up".into()),
+            ("indexes", family_blocks.into()),
+        ],
     );
-    std::fs::write(&out_path, json).expect("failed to write benchmark output");
-    println!("# wrote {out_path}");
+    psi_bench::write_json(&out_path, &doc);
 
     // ---------------------------------------------------------------------
     // Construction + update sweep: full `build_with` per family per thread
@@ -225,7 +222,7 @@ fn main() {
     let moved = UPDATE_BATCH.min(cfg.n);
     let sample = &data[..moved];
     let fresh = workloads::uniform::<2>(moved, cfg.max_coord, cfg.seed ^ 0x5eed);
-    let mut build_blocks: Vec<String> = Vec::new();
+    let mut build_blocks: Vec<Json> = Vec::new();
     for &name in registry::names() {
         let mut build_samples: Vec<Sample> = Vec::new();
         let mut update_samples: Vec<Sample> = Vec::new();
@@ -263,48 +260,38 @@ fn main() {
                 None => reference = Some(probe),
                 Some(r) => identical &= *r == probe,
             }
-            build_samples.push(Sample {
-                threads: t,
-                secs: build_secs,
-                qps: cfg.n as f64 / build_secs,
-            });
-            update_samples.push(Sample {
-                threads: t,
-                secs: update_secs,
-                qps: (2 * moved) as f64 / update_secs,
-            });
+            let build = Sample::new(t, build_secs, cfg.n);
+            let update = Sample::new(t, update_secs, 2 * moved);
             println!(
                 "{:<12} threads={:<3} build={:>9.4}s ({:>12.0} points/s)  update={:>9.4}s ({:>12.0} points/s)",
-                name,
-                t,
-                build_secs,
-                cfg.n as f64 / build_secs,
-                update_secs,
-                (2 * moved) as f64 / update_secs,
+                name, t, build.secs, build.qps, update.secs, update.qps,
             );
+            build_samples.push(build);
+            update_samples.push(update);
         }
         assert!(
             identical,
             "{name}: builds and updates must answer identically across thread counts"
         );
-        build_blocks.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"build\": {},\n      \"update\": {},\n      \"speedup_build_best_vs_1\": {:.2},\n      \"speedup_update_best_vs_1\": {:.2},\n      \"identical_across_threads\": true\n    }}",
-            name,
-            json_samples(&build_samples),
-            json_samples(&update_samples),
-            speedup(&build_samples),
-            speedup(&update_samples),
-        ));
+        build_blocks.push(Json::obj([
+            ("name", name.into()),
+            ("build", json_samples(&build_samples)),
+            ("update", json_samples(&update_samples)),
+            ("speedup_build_best_vs_1", speedup(&build_samples).into()),
+            ("speedup_update_best_vs_1", speedup(&update_samples).into()),
+            ("identical_across_threads", true.into()),
+        ]));
     }
 
-    let build_json = format!(
-        "{{\n  \"bench\": \"parallel_construction_and_update\",\n  {},\n  \"n\": {},\n  \"update_points_moved\": {},\n  \"reps\": {},\n  \"note\": \"best-of-reps wall clock; build = registry::create (full build_with), qps = points indexed per second; update = one round of batch_delete of update_points_moved points then batch_insert of as many, qps = points deleted + inserted per second; thread counts above machine_threads oversubscribe and cannot speed up\",\n  \"indexes\": [\n{}\n  ]\n}}\n",
-        psi_bench::host_meta_json(),
-        cfg.n,
-        moved,
-        reps,
-        build_blocks.join(",\n")
+    let doc = psi_bench::bench_json(
+        "parallel_construction_and_update",
+        [
+            ("n", cfg.n.into()),
+            ("update_points_moved", moved.into()),
+            ("reps", reps.into()),
+            ("note", "best-of-reps wall clock; build = registry::create (full build_with), qps = points indexed per second; update = one round of batch_delete of update_points_moved points then batch_insert of as many, qps = points deleted + inserted per second; thread counts above machine_threads oversubscribe and cannot speed up".into()),
+            ("indexes", build_blocks.into()),
+        ],
     );
-    std::fs::write(&build_out_path, build_json).expect("failed to write build benchmark output");
-    println!("# wrote {build_out_path}");
+    psi_bench::write_json(&build_out_path, &doc);
 }

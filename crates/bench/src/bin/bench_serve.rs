@@ -20,6 +20,7 @@
 
 use psi::registry::{self, BuildOptions};
 use psi::PointI;
+use psi_obs::Json;
 use psi_server::{
     closed_loop, DurabilityConfig, FsyncPolicy, IndexFactory, LoadSpec, PsiServer, Router,
     ServeConfig,
@@ -30,19 +31,6 @@ use std::time::Instant;
 
 const MAX_COORD: i64 = 1_000_000_000;
 
-struct Cell {
-    family: &'static str,
-    clients: usize,
-    write_mode: &'static str,
-    ops: usize,
-    batches: u64,
-    elapsed: f64,
-    qps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    coalesce: f64,
-}
-
 /// Writer pacing per sweep point: `None` = read-only cell.
 fn write_modes() -> Vec<(&'static str, Option<u64>)> {
     vec![
@@ -52,6 +40,7 @@ fn write_modes() -> Vec<(&'static str, Option<u64>)> {
     ]
 }
 
+/// One closed-loop cell: printed, and returned as its `cells` row.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     family: &'static str,
@@ -60,11 +49,11 @@ fn run_cell(
     rects: &[psi_geometry::RectI<2>],
     clients: usize,
     ops: usize,
-    write_every_ms: Option<u64>,
+    (write_mode, write_every_ms): (&'static str, Option<u64>),
     shards: usize,
     coalesce: usize,
     k: usize,
-) -> Cell {
+) -> Json {
     let universe = workloads::universe::<2>(MAX_COORD);
     let opts = BuildOptions::with_universe(universe);
     let factory: IndexFactory<i64, 2> = Arc::new(move |pts: &[PointI<2>]| {
@@ -91,47 +80,45 @@ fn run_cell(
     };
     let out = closed_loop(&server, data, queries, rects, &spec)
         .unwrap_or_else(|e| panic!("{family}: {e}"));
-    Cell {
+    println!(
+        "{:<8} clients={:<2} write={:<9} {:>8.0} q/s  p50={:>7.3}ms p99={:>7.3}ms  batches={:<4} coalesce={:.1}x",
         family,
         clients,
-        write_mode: match write_every_ms {
-            None => "read-only",
-            Some(0) => "unpaced",
-            Some(_) => "paced-2ms",
-        },
-        ops: out.ops,
-        batches: out.batches,
-        elapsed: out.elapsed_secs,
-        qps: out.throughput_qps,
-        p50_ms: out.p50_ms,
-        p99_ms: out.p99_ms,
-        coalesce: out.coalesce_factor,
-    }
+        write_mode,
+        out.throughput_qps,
+        out.p50_ms,
+        out.p99_ms,
+        out.batches,
+        out.coalesce_factor
+    );
+    Json::obj([
+        ("clients", clients.into()),
+        ("write_mode", write_mode.into()),
+        ("ops", out.ops.into()),
+        ("batches", out.batches.into()),
+        ("elapsed_secs", out.elapsed_secs.into()),
+        ("qps", out.throughput_qps.into()),
+        ("p50_ms", out.p50_ms.into()),
+        ("p99_ms", out.p99_ms.into()),
+        ("coalesce_factor", out.coalesce_factor.into()),
+    ])
 }
+
+/// Fewest rounds a publish-latency p99 is reported from: below that the
+/// p99 is one of the few largest samples and moves severalfold from run to
+/// run, so the cell reports `null`.
+const P99_MIN_ROUNDS: usize = 1_000;
 
 /// Publish latency: how long one epoch publication takes — the batch
 /// applied in place to the live index, copying only the paths it reaches
 /// because a reader's pin still shares them, then an O(1) snapshot swap.
-struct PublishCell {
-    family: &'static str,
-    rounds: usize,
-    p50_ms: f64,
-    mean_ms: f64,
-    /// Only from [`P99_MIN_ROUNDS`] rounds up: below that the p99 is one of
-    /// the few largest samples and moves severalfold from run to run.
-    p99_ms: Option<f64>,
-}
-
-/// Fewest rounds a publish-latency p99 is reported from.
-const P99_MIN_ROUNDS: usize = 1_000;
-
 fn publish_latency_cell(
     family: &'static str,
     data: &[PointI<2>],
     shards: usize,
     batch: usize,
     rounds: usize,
-) -> PublishCell {
+) -> Json {
     let universe = workloads::universe::<2>(MAX_COORD);
     let opts = BuildOptions::with_universe(universe);
     let factory: IndexFactory<i64, 2> = Arc::new(move |pts: &[PointI<2>]| {
@@ -155,13 +142,21 @@ fn publish_latency_cell(
         drop(pin);
     }
     lat_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    PublishCell {
-        family,
-        rounds,
-        p50_ms: lat_ms[rounds / 2],
-        mean_ms: lat_ms.iter().sum::<f64>() / rounds as f64,
-        p99_ms: (rounds >= P99_MIN_ROUNDS).then(|| lat_ms[rounds * 99 / 100]),
-    }
+    let p50_ms = lat_ms[rounds / 2];
+    let mean_ms = lat_ms.iter().sum::<f64>() / rounds as f64;
+    let p99_ms = (rounds >= P99_MIN_ROUNDS).then(|| lat_ms[rounds * 99 / 100]);
+    let p99 = p99_ms.map_or("null".to_string(), |v| format!("{v:.4}"));
+    println!(
+        "publish  {family:<8} rounds={rounds:<4} p50_ms={p50_ms:.3} mean_ms={mean_ms:.3} p99_ms={p99}"
+    );
+    Json::obj([
+        ("family", family.into()),
+        ("batch", batch.into()),
+        ("rounds", rounds.into()),
+        ("p50_ms", p50_ms.into()),
+        ("mean_ms", mean_ms.into()),
+        ("p99_ms", p99_ms.into()),
+    ])
 }
 
 /// The ROADMAP item-3 follow-up: what does each fsync policy cost? One
@@ -169,19 +164,6 @@ fn publish_latency_cell(
 /// batches pushed through each, write throughput measured wall-clock and
 /// fsync/append latency read back as snapshot deltas of the WAL's own
 /// psi-obs histograms — the same series `OP_STATS` exposes live.
-struct FsyncCell {
-    policy: String,
-    batches: u64,
-    elapsed: f64,
-    batches_per_sec: f64,
-    wal_mib: f64,
-    fsyncs: u64,
-    fsync_p50_us: f64,
-    fsync_p99_us: f64,
-    append_p50_us: f64,
-    append_p99_us: f64,
-}
-
 fn fsync_policy_cell(
     family: &'static str,
     data: &[PointI<2>],
@@ -189,7 +171,7 @@ fn fsync_policy_cell(
     batch: usize,
     rounds: usize,
     policy: FsyncPolicy,
-) -> FsyncCell {
+) -> Json {
     let dir = std::env::temp_dir().join(format!(
         "psi-bench-fsync-{}-{}",
         std::process::id(),
@@ -249,18 +231,28 @@ fn fsync_policy_cell(
     let bytes = wal_bytes.get() - bytes_before;
     let _ = std::fs::remove_dir_all(&dir);
     let us = |ns: u64| ns as f64 / 1e3;
-    FsyncCell {
-        policy: policy.name(),
-        batches,
-        elapsed,
-        batches_per_sec: batches as f64 / elapsed.max(1e-9),
-        wal_mib: bytes as f64 / (1024.0 * 1024.0),
-        fsyncs: fsync.count(),
-        fsync_p50_us: us(fsync.quantile(0.5)),
-        fsync_p99_us: us(fsync.quantile(0.99)),
-        append_p50_us: us(append.quantile(0.5)),
-        append_p99_us: us(append.quantile(0.99)),
-    }
+    let batches_per_sec = batches as f64 / elapsed.max(1e-9);
+    let wal_mib = bytes as f64 / (1024.0 * 1024.0);
+    let (fsync_p50, fsync_p99) = (us(fsync.quantile(0.5)), us(fsync.quantile(0.99)));
+    let (append_p50, append_p99) = (us(append.quantile(0.5)), us(append.quantile(0.99)));
+    println!(
+        "fsync    {:<12} {batches_per_sec:>7.0} batch/s  fsyncs={:<5} fsync p50={fsync_p50:.1}us p99={fsync_p99:.1}us  append p50={append_p50:.1}us p99={append_p99:.1}us  wal={wal_mib:.1}MiB",
+        policy.name(),
+        fsync.count(),
+    );
+    Json::obj([
+        ("policy", policy.name().into()),
+        ("batch", batch.into()),
+        ("batches", batches.into()),
+        ("elapsed_secs", elapsed.into()),
+        ("batches_per_sec", batches_per_sec.into()),
+        ("wal_mib", wal_mib.into()),
+        ("fsyncs", fsync.count().into()),
+        ("fsync_p50_us", fsync_p50.into()),
+        ("fsync_p99_us", fsync_p99.into()),
+        ("append_p50_us", append_p50.into()),
+        ("append_p99_us", append_p99.into()),
+    ])
 }
 
 fn main() {
@@ -321,128 +313,64 @@ fn main() {
         "# bench_serve: n = {n}, ops/client = {ops}, shards = {shards}, coalesce = {coalesce}, machine threads = {}",
         rayon::current_num_threads()
     );
-    let mut blocks: Vec<String> = Vec::new();
+    let mut blocks: Vec<Json> = Vec::new();
     for &family in families {
-        let mut cells: Vec<String> = Vec::new();
+        let mut cells: Vec<Json> = Vec::new();
         for &clients in client_counts {
-            for (_, pace) in &modes {
-                let cell = run_cell(
-                    family, &data, &queries, &rects, clients, ops, *pace, shards, coalesce, k,
-                );
-                println!(
-                    "{:<8} clients={:<2} write={:<9} {:>8.0} q/s  p50={:>7.3}ms p99={:>7.3}ms  batches={:<4} coalesce={:.1}x",
-                    cell.family,
-                    cell.clients,
-                    cell.write_mode,
-                    cell.qps,
-                    cell.p50_ms,
-                    cell.p99_ms,
-                    cell.batches,
-                    cell.coalesce
-                );
-                cells.push(format!(
-                    "        {{\"clients\": {}, \"write_mode\": \"{}\", \"ops\": {}, \
-                     \"batches\": {}, \"elapsed_secs\": {:.4}, \"qps\": {:.1}, \
-                     \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"coalesce_factor\": {:.2}}}",
-                    cell.clients,
-                    cell.write_mode,
-                    cell.ops,
-                    cell.batches,
-                    cell.elapsed,
-                    cell.qps,
-                    cell.p50_ms,
-                    cell.p99_ms,
-                    cell.coalesce
+            for &mode in &modes {
+                cells.push(run_cell(
+                    family, &data, &queries, &rects, clients, ops, mode, shards, coalesce, k,
                 ));
             }
         }
-        blocks.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"cells\": [\n{}\n      ]\n    }}",
-            family,
-            cells.join(",\n")
-        ));
+        blocks.push(Json::obj([
+            ("name", family.into()),
+            ("cells", cells.into()),
+        ]));
     }
 
     // Publish latency per family, same data and batch size.
     let publish_rounds = if smoke { 40 } else { P99_MIN_ROUNDS };
     let publish_batch = 200.min(n / 4);
-    let mut publish_cells: Vec<String> = Vec::new();
-    for family in ["pkd", "p-orth", "cpam-h"] {
-        let cell = publish_latency_cell(family, &data, shards, publish_batch, publish_rounds);
-        let p99 = cell
-            .p99_ms
-            .map_or("null".to_string(), |v| format!("{v:.4}"));
-        println!(
-            "publish  {:<8} rounds={:<4} p50_ms={:.3} mean_ms={:.3} p99_ms={p99}",
-            cell.family, cell.rounds, cell.p50_ms, cell.mean_ms
-        );
-        publish_cells.push(format!(
-            "    {{\"family\": \"{}\", \"batch\": {}, \"rounds\": {}, \
-             \"p50_ms\": {:.4}, \"mean_ms\": {:.4}, \"p99_ms\": {p99}}}",
-            cell.family, publish_batch, cell.rounds, cell.p50_ms, cell.mean_ms
-        ));
-    }
+    let publish_cells: Vec<Json> = ["pkd", "p-orth", "cpam-h"]
+        .into_iter()
+        .map(|family| publish_latency_cell(family, &data, shards, publish_batch, publish_rounds))
+        .collect();
 
     // Fsync-policy sweep: the durability cost curve, measured through the
     // WAL's own psi-obs histograms.
     let fsync_rounds = if smoke { 30 } else { 150 };
     let fsync_batch = 200.min(n / 4);
-    let mut fsync_cells: Vec<String> = Vec::new();
-    for policy in [
+    let fsync_cells: Vec<Json> = [
         FsyncPolicy::EveryBatch,
         FsyncPolicy::EveryN(4),
         FsyncPolicy::Os,
-    ] {
-        let cell = fsync_policy_cell("pkd", &data, shards, fsync_batch, fsync_rounds, policy);
-        println!(
-            "fsync    {:<12} {:>7.0} batch/s  fsyncs={:<5} fsync p50={:.1}us p99={:.1}us  append p50={:.1}us p99={:.1}us  wal={:.1}MiB",
-            cell.policy,
-            cell.batches_per_sec,
-            cell.fsyncs,
-            cell.fsync_p50_us,
-            cell.fsync_p99_us,
-            cell.append_p50_us,
-            cell.append_p99_us,
-            cell.wal_mib
-        );
-        fsync_cells.push(format!(
-            "    {{\"policy\": \"{}\", \"batch\": {}, \"batches\": {}, \"elapsed_secs\": {:.4}, \
-             \"batches_per_sec\": {:.1}, \"wal_mib\": {:.2}, \"fsyncs\": {}, \
-             \"fsync_p50_us\": {:.2}, \"fsync_p99_us\": {:.2}, \
-             \"append_p50_us\": {:.2}, \"append_p99_us\": {:.2}}}",
-            cell.policy,
-            fsync_batch,
-            cell.batches,
-            cell.elapsed,
-            cell.batches_per_sec,
-            cell.wal_mib,
-            cell.fsyncs,
-            cell.fsync_p50_us,
-            cell.fsync_p99_us,
-            cell.append_p50_us,
-            cell.append_p99_us
-        ));
-    }
+    ]
+    .into_iter()
+    .map(|policy| fsync_policy_cell("pkd", &data, shards, fsync_batch, fsync_rounds, policy))
+    .collect();
 
-    let json = format!(
-        "{{\n  \"bench\": \"serve_closed_loop\",\n  {},\n  \"n\": {},\n  \
-         \"ops_per_client\": {},\n  \"shards\": {},\n  \"coalesce_max_batch\": {},\n  \"k\": {},\n  \
-         \"note\": \"closed-loop clients over psi-server (epoch snapshots + coalescer + shard router); \
-         move batches conserve the live count (checked); publish_latency times one path-copying publish per round, \
-         a reader pin held across each (p99 only from 1000+ rounds, else null); \
-         fsync_sweep pushes identical move batches through a durable server per FsyncPolicy, \
-         latencies read from the WAL's psi-obs histograms\",\n  \
-         \"publish_latency\": [\n{}\n  ],\n  \"fsync_sweep\": [\n{}\n  ],\n  \"families\": [\n{}\n  ]\n}}\n",
-        psi_bench::host_meta_json(),
-        n,
-        ops,
-        shards,
-        coalesce,
-        k,
-        publish_cells.join(",\n"),
-        fsync_cells.join(",\n"),
-        blocks.join(",\n")
+    let doc = psi_bench::bench_json(
+        "serve_closed_loop",
+        [
+            ("n", n.into()),
+            ("ops_per_client", ops.into()),
+            ("shards", shards.into()),
+            ("coalesce_max_batch", coalesce.into()),
+            ("k", k.into()),
+            (
+                "note",
+                "closed-loop clients over psi-server (epoch snapshots + coalescer + shard router); \
+                 move batches conserve the live count (checked); publish_latency times one \
+                 path-copying publish per round, a reader pin held across each (p99 only from \
+                 1000+ rounds, else null); fsync_sweep pushes identical move batches through a \
+                 durable server per FsyncPolicy, latencies read from the WAL's psi-obs histograms"
+                    .into(),
+            ),
+            ("publish_latency", publish_cells.into()),
+            ("fsync_sweep", fsync_cells.into()),
+            ("families", blocks.into()),
+        ],
     );
-    std::fs::write(&out, json).expect("failed to write benchmark output");
-    println!("# wrote {out}");
+    psi_bench::write_json(&out, &doc);
 }

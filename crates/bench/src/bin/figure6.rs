@@ -2,10 +2,11 @@
 //!
 //! The paper uses COSMO (317M 3-D points) and OSM North America (776M 2-D
 //! points); this repository substitutes the synthetic stand-ins
-//! `workloads::cosmo_like` and `workloads::osm_like` that reproduce their
-//! clustering structure (see DESIGN.md). For each index: build time,
-//! incremental insertion/deletion with 0.01% batches, 10-NN (InD) and
-//! range-list query time after construction.
+//! `workloads::cosmo_like` (heavy-tailed halos over a thin uniform
+//! background) and `workloads::osm_like` (dense polylines between random
+//! waypoints) that reproduce their clustering structure. For each index:
+//! build time, incremental insertion/deletion with 0.01% batches, 10-NN
+//! (InD) and range-list query time after construction.
 //!
 //! Usage: `cargo run --release -p psi-bench --bin figure6 [-- --n 100000]`
 

@@ -7,11 +7,12 @@
 //! of [`psi::driver`], and plain-text table rendering.
 //!
 //! The binaries print the same *rows and columns* the paper reports; absolute
-//! numbers will differ from the paper's 112-core machine (see EXPERIMENTS.md),
-//! but the relative ordering of the indexes is what the harness is for.
+//! numbers will differ from the paper's 112-core machine, but the relative
+//! ordering of the indexes is what the harness is for.
 
 use psi::driver::{self, QuerySet, QueryTimes};
 use psi::{PointI, RectI, SpatialIndex};
+use psi_obs::Json;
 use psi_workloads as workloads;
 use std::time::Duration;
 
@@ -120,15 +121,6 @@ pub fn fmt_secs(d: Duration) -> String {
     format!("{:.4}", d.as_secs_f64())
 }
 
-/// Strip a free-text host string down to safe JSON-literal characters.
-fn sanitize(s: &str) -> String {
-    s.trim()
-        .chars()
-        .filter(|c| c.is_ascii_graphic() || *c == ' ')
-        .filter(|c| !matches!(c, '"' | '\\'))
-        .collect()
-}
-
 fn proc_line(path: &str, key: &str) -> Option<String> {
     std::fs::read_to_string(path).ok()?.lines().find_map(|l| {
         let (k, v) = l.split_once(':')?;
@@ -136,27 +128,34 @@ fn proc_line(path: &str, key: &str) -> Option<String> {
     })
 }
 
-/// The `"machine_threads": N, "host": {...}` JSON fields that every
-/// `BENCH_*.json` writer embeds at the top level, so a checked-in benchmark
-/// file records what machine produced it. `machine_threads` is the worker
-/// pool the run actually used (it honours `RAYON_NUM_THREADS`); the `host`
-/// block is the physical box. Indented for a 2-space top-level object.
-pub fn host_meta_json() -> String {
+/// A `BENCH_*.json` document: `"bench": name`, then the machine fields every
+/// checked-in benchmark file records, then `fields`. `machine_threads` is
+/// the worker pool the run actually used (it honours `RAYON_NUM_THREADS`);
+/// the `host` block is the physical box.
+pub fn bench_json(name: &str, fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
-        .map_or_else(|_| "unknown".to_string(), |s| sanitize(&s));
-    let cpu_model = proc_line("/proc/cpuinfo", "model name")
-        .map_or_else(|| "unknown".to_string(), |s| sanitize(&s));
-    format!(
-        "\"machine_threads\": {},\n  \"host\": {{\"os\": \"{}\", \"arch\": \"{}\", \
-         \"cpus\": {}, \"kernel\": \"{}\", \"cpu_model\": \"{}\"}}",
-        rayon::current_num_threads(),
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        cpus,
-        kernel,
-        cpu_model,
-    )
+        .map_or_else(|_| "unknown".to_string(), |s| s.trim().to_string());
+    let cpu_model = proc_line("/proc/cpuinfo", "model name").unwrap_or_else(|| "unknown".into());
+    let host = Json::obj([
+        ("os", std::env::consts::OS.into()),
+        ("arch", std::env::consts::ARCH.into()),
+        ("cpus", cpus.into()),
+        ("kernel", kernel.into()),
+        ("cpu_model", cpu_model.into()),
+    ]);
+    let head = [
+        ("bench", name.into()),
+        ("machine_threads", rayon::current_num_threads().into()),
+        ("host", host),
+    ];
+    Json::obj(head.into_iter().chain(fields))
+}
+
+/// Write a benchmark document to `path` and say so on stdout.
+pub fn write_json(path: &str, doc: &Json) {
+    std::fs::write(path, format!("{doc}\n")).expect("failed to write benchmark output");
+    println!("# wrote {path}");
 }
 
 /// One row of the Fig. 3 / Fig. 9 master table.
@@ -307,16 +306,17 @@ mod tests {
 
     #[test]
     fn host_meta_is_valid_json_fields() {
-        let meta = host_meta_json();
-        assert!(meta.starts_with("\"machine_threads\": "));
-        assert!(meta.contains("\"host\": {"));
-        assert!(meta.contains("\"cpus\": "));
-        // The fragment must compose into a parseable object: balanced
-        // braces, no stray quotes from /proc free text.
-        let obj = format!("{{{meta}}}");
-        assert_eq!(obj.matches('{').count(), obj.matches('}').count());
-        assert_eq!(obj.matches('"').count() % 2, 0);
-        assert_eq!(sanitize("  weird\\\"cpu\u{7f}  "), "weirdcpu");
+        let doc = Json::parse(&bench_json("t", [("n", 3usize.into())]).to_string()).unwrap();
+        let Json::Obj(fields) = &doc else {
+            panic!("not an object: {doc}")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["bench", "machine_threads", "host", "n"]);
+        let host = doc.get("host").unwrap();
+        assert!(host.get("cpus").and_then(Json::as_f64).unwrap() >= 1.0);
+        for key in ["os", "arch", "kernel", "cpu_model"] {
+            assert!(!host.get(key).and_then(Json::as_str).unwrap().is_empty());
+        }
     }
 
     #[test]

@@ -275,7 +275,7 @@ fn cmd_compare(args: &[String]) -> ExitCode {
     let load = |path: &Path| -> Result<compare::Json, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        compare::parse_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+        compare::Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     };
     let (a, b) = match (load(a_path), load(b_path)) {
         (Ok(a), Ok(b)) => (a, b),

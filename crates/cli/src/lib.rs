@@ -33,7 +33,7 @@ pub mod scenario;
 pub mod serve;
 pub mod statsd;
 
-pub use compare::{compare_reports, parse_json, Comparison, Json};
+pub use compare::{compare_reports, Comparison, Json};
 pub use exec::{run, run_differential, DiffReport, FamilyRun, ProbeOutcome, ScenarioRun};
 pub use report::{golden_string, json_string};
 pub use scenario::{

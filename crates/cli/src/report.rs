@@ -8,27 +8,16 @@
 //!   machines and `RAYON_NUM_THREADS` settings.
 //! * [`json_string`] — the full report including wall-clock timings, for
 //!   benchmarking sweeps and dashboards (`psi-scenario run --out`).
+//!
+//! The JSON report goes through `psi_obs::json`'s one writer: a container
+//! of scalars on one line, any other container one child per line indented
+//! two spaces, `": "` after each key; integers exact, other numbers in
+//! Rust's shortest round-trip form (`.0` on whole ones), NaN and ±inf as
+//! `null`.
 
 use crate::exec::{FamilyRun, ScenarioRun};
 use crate::serve::ServeReport;
-
-/// Escape a string for embedding in a JSON literal (the scenario name is
-/// free text; the other interpolated strings are registry-controlled).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use psi_obs::Json;
 
 /// The deterministic golden-file text for a run.
 pub fn golden_string(run: &ScenarioRun) -> String {
@@ -54,29 +43,29 @@ pub fn golden_string(run: &ScenarioRun) -> String {
     out
 }
 
-fn json_family(fam: &FamilyRun) -> String {
-    let probes: Vec<String> = fam
-        .probes
-        .iter()
-        .zip(&fam.probe_secs)
-        .map(|(p, secs)| {
-            format!(
-                "{{\"live\": {}, \"knn_ind\": \"{:016x}\", \"knn_ood\": \"{:016x}\", \
-                 \"range_count\": \"{:016x}\", \"range_list\": \"{:016x}\", \"secs\": {:.6}}}",
-                p.live, p.knn_ind, p.knn_ood, p.range_count, p.range_list, secs
-            )
-        })
-        .collect();
-    format!(
-        "    {{\n      \"family\": \"{}\",\n      \"update_secs\": {:.6},\n      \
-         \"final_len\": {},\n      \"final_state\": \"{:016x}\",\n      \
-         \"probes\": [{}]\n    }}",
-        json_escape(&fam.family),
-        fam.update_secs,
-        fam.final_len,
-        fam.final_state,
-        probes.join(", ")
-    )
+/// A checksum as the report's 16-digit hex string.
+fn hex(x: u64) -> Json {
+    format!("{x:016x}").into()
+}
+
+fn json_family(fam: &FamilyRun) -> Json {
+    let probes = fam.probes.iter().zip(&fam.probe_secs).map(|(p, &secs)| {
+        Json::obj([
+            ("live", p.live.into()),
+            ("knn_ind", hex(p.knn_ind)),
+            ("knn_ood", hex(p.knn_ood)),
+            ("range_count", hex(p.range_count)),
+            ("range_list", hex(p.range_list)),
+            ("secs", secs.into()),
+        ])
+    });
+    Json::obj([
+        ("family", fam.family.as_str().into()),
+        ("update_secs", fam.update_secs.into()),
+        ("final_len", fam.final_len.into()),
+        ("final_state", hex(fam.final_state)),
+        ("probes", Json::Arr(probes.collect())),
+    ])
 }
 
 /// The full JSON report (checksums *and* timings) for a run.
@@ -89,51 +78,44 @@ pub fn json_string(run: &ScenarioRun) -> String {
 /// the config and family keys, so the extra block never affects the
 /// regression gate.)
 pub fn json_string_with_serve(run: &ScenarioRun, serve: Option<&ServeReport>) -> String {
-    let families: Vec<String> = run.families.iter().map(json_family).collect();
-    let serve_block = serve.map_or(String::new(), |s| {
-        let metrics_block = s.metrics.as_ref().map_or(String::new(), |m| {
-            let pairs: Vec<String> = m
-                .iter()
-                .map(|(k, v)| format!("      \"{}\": {}", json_escape(k), v))
-                .collect();
-            format!(",\n    \"metrics\": {{\n{}\n    }}", pairs.join(",\n"))
-        });
-        format!(
-            ",\n  \"serve\": {{\n    \"family\": \"{}\",\n    \"shards\": {},\n    \
-             \"transport\": \"{}\",\n    \
-             \"clients\": {},\n    \"ops\": {},\n    \"batches\": {},\n    \
-             \"elapsed_secs\": {:.6},\n    \"throughput_qps\": {:.1},\n    \
-             \"p50_ms\": {:.4},\n    \"p99_ms\": {:.4},\n    \
-             \"coalesce_factor\": {:.2}{}\n  }}",
-            json_escape(&s.family),
-            s.shards,
-            s.transport,
-            s.clients,
-            s.ops,
-            s.batches,
-            s.elapsed_secs,
-            s.throughput_qps,
-            s.p50_ms,
-            s.p99_ms,
-            s.coalesce_factor,
-            metrics_block
-        )
-    });
-    format!(
-        "{{\n  \"scenario\": \"{}\",\n  \"distribution\": \"{}\",\n  \"coords\": \"{}\",\n  \
-         \"dims\": {},\n  \"n\": {},\n  \"seed\": {},\n  \"threads\": {},\n  \
-         \"note\": \"checksums are deterministic; secs are wall clock and vary\",\n  \
-         \"families\": [\n{}\n  ]{}\n}}\n",
-        json_escape(&run.name),
-        json_escape(&run.distribution),
-        run.coords,
-        run.dims,
-        run.n,
-        run.seed,
-        run.threads,
-        families.join(",\n"),
-        serve_block
-    )
+    let mut doc = vec![
+        ("scenario", run.name.as_str().into()),
+        ("distribution", run.distribution.as_str().into()),
+        ("coords", run.coords.as_str().into()),
+        ("dims", run.dims.into()),
+        ("n", run.n.into()),
+        ("seed", run.seed.into()),
+        ("threads", run.threads.into()),
+        (
+            "note",
+            "checksums are deterministic; secs are wall clock and vary".into(),
+        ),
+        (
+            "families",
+            Json::Arr(run.families.iter().map(json_family).collect()),
+        ),
+    ];
+    if let Some(s) = serve {
+        let mut block = vec![
+            ("family", s.family.as_str().into()),
+            ("shards", s.shards.into()),
+            ("transport", s.transport.into()),
+            ("clients", s.clients.into()),
+            ("ops", s.ops.into()),
+            ("batches", s.batches.into()),
+            ("elapsed_secs", s.elapsed_secs.into()),
+            ("throughput_qps", s.throughput_qps.into()),
+            ("p50_ms", s.p50_ms.into()),
+            ("p99_ms", s.p99_ms.into()),
+            ("coalesce_factor", s.coalesce_factor.into()),
+        ];
+        if let Some(m) = &s.metrics {
+            let series = m.iter().map(|(k, v)| (k.as_str(), Json::from(*v)));
+            block.push(("metrics", Json::obj(series)));
+        }
+        doc.push(("serve", Json::obj(block)));
+    }
+    format!("{}\n", Json::obj(doc))
 }
 
 #[cfg(test)]
@@ -160,15 +142,5 @@ mod tests {
         let json = json_string(&run);
         assert!(json.contains("\"family\": \"pkd\""));
         assert!(json.contains("\"secs\""));
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(super::json_escape("plain"), "plain");
-        assert_eq!(
-            super::json_escape("my \"fast\" run\\1\n"),
-            "my \\\"fast\\\" run\\\\1\\n"
-        );
-        assert_eq!(super::json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -47,16 +47,19 @@
 //! [`render_prometheus`] serialises the whole registry as Prometheus-style
 //! text (histograms as summaries: `{quantile="…"}` plus `_count`, `_sum`,
 //! `_max`); the same text rides the wire inside the `OP_STATS` reply and
-//! the `psi-netd --stats-addr` endpoint.
+//! the `psi-netd --stats-addr` endpoint. Machine-readable reports go
+//! through [`Json`], the workspace's one JSON writer and parser.
 
 pub mod events;
 pub mod expose;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod slowlog;
 
 pub use events::{recent_events, Event, Severity};
 pub use expose::{render_events, render_prometheus, SNAPSHOT_VERSION};
+pub use json::Json;
 pub use metrics::{bucket_bounds, bucket_index, Counter, Gauge, HistSnapshot, Histogram};
 pub use registry::{
     counter, gauge, histogram, registry, LazyCounter, LazyGauge, LazyHistogram, MetricsRegistry,

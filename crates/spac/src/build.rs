@@ -65,12 +65,6 @@ pub fn presort_entries<C: SfcCurve<D>, const D: usize>(points: &[PointI<D>]) -> 
     entries
 }
 
-/// Sort an entry batch by code (used by tests and the ablation benchmarks).
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn sort_entries<const D: usize>(entries: &mut [Entry<D>]) {
-    par_sort_by_key(entries, |e| (e.0, e.1));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

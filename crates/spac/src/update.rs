@@ -303,7 +303,6 @@ fn remove_multiset<const D: usize>(entries: &mut Vec<Entry<D>>, batch: &[Entry<D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::sort_entries;
     use psi_geometry::Point;
     use psi_sfc::MortonCurve;
 
@@ -339,7 +338,7 @@ mod tests {
     fn insert_sorted_into_empty() {
         let cfg = SpacConfig::spac();
         let mut batch: Vec<Entry<2>> = (0..100).map(|i| entry(i, i * 2)).collect();
-        sort_entries(&mut batch);
+        batch.sort();
         let tree = insert_sorted(Arc::new(PNode::empty()), &batch, &cfg);
         assert_eq!(tree.size(), 100);
         crate::pac::check_invariants::<MortonCurve, 2>(&tree, &cfg);
@@ -352,13 +351,13 @@ mod tests {
         let tree = build_sorted_entries(
             &{
                 let mut b = base.clone();
-                sort_entries(&mut b);
+                b.sort();
                 b
             },
             &cfg,
         );
         let mut batch = vec![entry(5, 5)];
-        sort_entries(&mut batch);
+        batch.sort();
         let tree = insert_sorted(Arc::new(tree), &batch, &cfg);
         match &*tree {
             PNode::Leaf { sorted, .. } => assert!(!sorted),
@@ -370,10 +369,10 @@ mod tests {
     fn insert_keeps_leaf_sorted_in_cpam_mode() {
         let cfg = SpacConfig::cpam();
         let mut base: Vec<Entry<2>> = (0..10).map(|i| entry(i * 100, i * 100)).collect();
-        sort_entries(&mut base);
+        base.sort();
         let tree = build_sorted_entries(&base, &cfg);
         let mut batch = vec![entry(5, 5)];
-        sort_entries(&mut batch);
+        batch.sort();
         let tree = insert_sorted(Arc::new(tree), &batch, &cfg);
         match &*tree {
             PNode::Leaf {
@@ -390,7 +389,7 @@ mod tests {
     fn delete_pivot_entry() {
         let cfg = SpacConfig::spac();
         let mut base: Vec<Entry<2>> = (0..500).map(|i| entry(i * 7 % 997, i * 13 % 997)).collect();
-        sort_entries(&mut base);
+        base.sort();
         let tree = build_sorted_entries(&base, &cfg);
         // Find the root pivot and delete exactly that entry.
         let pivot = match &tree {

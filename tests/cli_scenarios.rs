@@ -169,10 +169,10 @@ fn perf_gate_baseline_matches_current_answers() {
             baseline_path.display()
         )
     });
-    let baseline = compare::parse_json(&baseline_text).unwrap_or_else(|e| panic!("{e}"));
+    let baseline = compare::Json::parse(&baseline_text).unwrap_or_else(|e| panic!("{e}"));
     let sc = scenario::parse_file(&repo_dir("scenarios/perf-gate-2d.psi")).unwrap();
     let run = exec::run(&sc, None).unwrap_or_else(|e| panic!("{e}"));
-    let fresh = compare::parse_json(&report::json_string(&run)).unwrap();
+    let fresh = compare::Json::parse(&report::json_string(&run)).unwrap();
     let cmp = compare::compare_reports(&baseline, &fresh, f64::INFINITY, compare::NOISE_FLOOR_SECS)
         .unwrap_or_else(|e| panic!("baseline is not comparable: {e}"));
     assert!(
