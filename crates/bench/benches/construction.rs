@@ -1,14 +1,35 @@
 //! Criterion micro-benchmarks: index construction across distributions.
 //!
-//! Complements the `figure3` binary with statistically robust per-operation
-//! timings at a smaller scale (fast enough to run in CI).
+//! Complements `psi-bench figures --fig 3` with statistically robust
+//! per-operation timings at a smaller scale (fast enough to run in CI).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use psi::{CpamHTree, POrthTree2, PkdTree, SpacHTree, SpacZTree, SpatialIndex, ZdTree};
+use criterion::measurement::WallTime;
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
+use psi::registry::{self, FamilyVisitor};
+use psi::{PointI, RectI, SpatialIndex};
 use psi_workloads::{self as workloads, Distribution};
 use std::time::Duration;
 
 const N: usize = 50_000;
+
+/// Time one family's `build` over one dataset.
+struct Build<'a, 'g> {
+    group: &'a mut BenchmarkGroup<'g, WallTime>,
+    dist: &'static str,
+    data: &'a [PointI<2>],
+    universe: &'a RectI<2>,
+}
+
+impl FamilyVisitor<2> for Build<'_, '_> {
+    type Output = ();
+    fn visit<I: SpatialIndex<i64, 2>>(self, name: &'static str) {
+        let universe = self.universe;
+        self.group
+            .bench_with_input(BenchmarkId::new(name, self.dist), self.data, |b, d| {
+                b.iter(|| I::build(d, universe))
+            });
+    }
+}
 
 fn bench_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("construction");
@@ -20,24 +41,15 @@ fn bench_construction(c: &mut Criterion) {
 
     for dist in Distribution::SYNTHETIC {
         let data = dist.generate::<2>(N, workloads::DEFAULT_MAX_COORD_2D, 42);
-        group.bench_with_input(BenchmarkId::new("P-Orth", dist.name()), &data, |b, d| {
-            b.iter(|| <POrthTree2 as SpatialIndex<i64, 2>>::build(d, &universe))
-        });
-        group.bench_with_input(BenchmarkId::new("SPaC-H", dist.name()), &data, |b, d| {
-            b.iter(|| <SpacHTree<2> as SpatialIndex<i64, 2>>::build(d, &universe))
-        });
-        group.bench_with_input(BenchmarkId::new("SPaC-Z", dist.name()), &data, |b, d| {
-            b.iter(|| <SpacZTree<2> as SpatialIndex<i64, 2>>::build(d, &universe))
-        });
-        group.bench_with_input(BenchmarkId::new("CPAM-H", dist.name()), &data, |b, d| {
-            b.iter(|| <CpamHTree<2> as SpatialIndex<i64, 2>>::build(d, &universe))
-        });
-        group.bench_with_input(BenchmarkId::new("Zd-Tree", dist.name()), &data, |b, d| {
-            b.iter(|| <ZdTree<2> as SpatialIndex<i64, 2>>::build(d, &universe))
-        });
-        group.bench_with_input(BenchmarkId::new("Pkd-Tree", dist.name()), &data, |b, d| {
-            b.iter(|| <PkdTree<2> as SpatialIndex<i64, 2>>::build(d, &universe))
-        });
+        for name in ["p-orth", "spac-h", "spac-z", "cpam-h", "zd", "pkd"] {
+            let build = Build {
+                group: &mut group,
+                dist: dist.name(),
+                data: &data,
+                universe: &universe,
+            };
+            registry::with_family(name, build).expect("registered family");
+        }
     }
     group.finish();
 }

@@ -12,11 +12,13 @@
 //!
 //! The sweep covers leaf sizes 16/32/64 (the φ range the indexes use) for both
 //! coordinate types (`i64`, `f64`). Both layouts must produce bit-identical
-//! answers on every cell; the binary asserts this before reporting.
+//! answers on every cell; the run asserts this before reporting.
 //!
-//! Usage:
-//! `cargo run --release -p psi-bench --bin bench_leaf [-- --reps 5 --out BENCH_leaf.json]`
+//! Usage: `cargo run --release -p psi-bench -- leaf [flags]`, flags as in
+//! [`USAGE`].
 
+use crate::flags::Flags;
+use crate::{bench_json, write_json};
 use psi_geometry::leaf::{aos_knn_offer, aos_range_count, aos_range_visit};
 use psi_geometry::{Coord, KnnHeap, LeafSoA, Point, Rect};
 use psi_obs::Json;
@@ -289,27 +291,15 @@ fn bench_cells<T: Coord, const D: usize>(
     cells
 }
 
-fn parse_extra_args() -> (usize, String) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut reps = 5usize;
-    let mut out = "BENCH_leaf.json".to_string();
-    let mut i = 1;
-    while i + 1 < args.len() {
-        match args[i].as_str() {
-            "--reps" => reps = args[i + 1].parse().expect("--reps expects an integer"),
-            "--out" => out = args[i + 1].clone(),
-            _ => {
-                i += 1;
-                continue;
-            }
-        }
-        i += 2;
-    }
-    (reps, out)
-}
+/// The flags and their defaults.
+pub const USAGE: &str = "psi-bench leaf [--reps 5] [--out BENCH_leaf.json]";
 
-fn main() {
-    let (reps, out_path) = parse_extra_args();
+/// Run the sweep and write its file.
+pub fn main(args: &[String]) -> Result<(), String> {
+    let mut flags = Flags::parse(args, &[])?;
+    let reps: usize = flags.get("--reps", 5)?;
+    let out_path: String = flags.get("--out", "BENCH_leaf.json".into())?;
+    flags.finish()?;
     let leaf_sizes = [16usize, 32, 64];
     let seed = 424242u64;
 
@@ -328,7 +318,7 @@ fn main() {
         .collect();
 
     println!(
-        "# bench_leaf: {} pools x {} points/cell, leaf sizes {:?}, kernels range_count/range_visit/knn_offer, reps={}",
+        "# psi-bench leaf: {} pools x {} points/cell, leaf sizes {:?}, kernels range_count/range_visit/knn_offer, reps={}",
         NUM_POOLS, POINTS_PER_CELL, leaf_sizes, reps
     );
 
@@ -375,7 +365,7 @@ fn main() {
          allocated pools; pts/s = leaf points scanned per second; kNN heap persists across a \
          pass as in a real query; kernels run on one thread"
     );
-    let doc = psi_bench::bench_json(
+    let doc = bench_json(
         "leaf_scan_aos_vs_soa",
         [
             ("pools", NUM_POOLS.into()),
@@ -387,5 +377,6 @@ fn main() {
             ("cells", Json::Arr(rows.collect())),
         ],
     );
-    psi_bench::write_json(&out_path, &doc);
+    write_json(&out_path, &doc);
+    Ok(())
 }

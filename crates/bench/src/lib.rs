@@ -1,26 +1,35 @@
-//! Shared harness for the figure-reproduction binaries.
+//! The benchmark harness behind the `psi-bench` binary.
 //!
-//! Every table and figure of the paper's evaluation section has a binary in
-//! `src/bin/` (figure3 … figure10) that regenerates it at a configurable,
-//! laptop-friendly scale. This library holds the pieces they share: the
-//! command-line configuration, the per-index experiment runners built on top
-//! of [`psi::driver`], and plain-text table rendering.
+//! One binary, one subcommand per benchmark: `parallel`, `serve`, `net`,
+//! `leaf`, and `figures --fig N`, which regenerates the paper's Figure N
+//! (3 … 10) at a configurable, laptop-friendly scale. Every subcommand reads
+//! its arguments through [`flags::Flags`], which rejects an unknown flag, a
+//! flag with no value and a value that does not parse. This library holds the
+//! subcommands and the pieces they share: the figure configuration, the
+//! Fig. 3 master-table protocol, the `BENCH_*.json` header and plain-text
+//! table rendering.
 //!
-//! The binaries print the same *rows and columns* the paper reports; absolute
+//! The figures print the same *rows and columns* the paper reports; absolute
 //! numbers will differ from the paper's 112-core machine, but the relative
 //! ordering of the indexes is what the harness is for.
 
+pub mod figures;
+pub mod flags;
+pub mod leaf;
+pub mod net;
+pub mod parallel;
+pub mod serve;
+
+use flags::Flags;
 use psi::driver::{self, QuerySet, QueryTimes};
 use psi::{PointI, RectI, SpatialIndex};
 use psi_obs::Json;
 use psi_workloads as workloads;
 use std::time::Duration;
 
-/// Scale and workload parameters shared by the figure binaries.
-///
-/// Every binary accepts `--n <points>`, `--queries <count>`, `--ranges <count>`
-/// and `--seed <seed>`; unrecognised arguments are ignored so the binaries can
-/// be invoked uniformly from scripts.
+/// Scale and workload parameters shared by the figures and `parallel`, set
+/// by `--n <points>`, `--queries <count>`, `--ranges <count>`, `--k <k>`,
+/// `--seed <seed>` and `--max-coord <bound>`.
 #[derive(Clone, Debug)]
 pub struct BenchConfig {
     /// Number of data points (the paper uses 10⁹; the default here is 2·10⁵).
@@ -62,32 +71,17 @@ impl BenchConfig {
         }
     }
 
-    /// Parse overrides from the process arguments.
-    pub fn from_args(mut self) -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < args.len() {
-            match args[i].as_str() {
-                "--n" => self.n = args[i + 1].parse().expect("--n expects an integer"),
-                "--queries" => {
-                    self.knn_queries = args[i + 1].parse().expect("--queries expects an integer")
-                }
-                "--ranges" => {
-                    self.range_queries = args[i + 1].parse().expect("--ranges expects an integer")
-                }
-                "--k" => self.k = args[i + 1].parse().expect("--k expects an integer"),
-                "--seed" => self.seed = args[i + 1].parse().expect("--seed expects an integer"),
-                "--max-coord" => {
-                    self.max_coord = args[i + 1].parse().expect("--max-coord expects an integer")
-                }
-                _ => {
-                    i += 1;
-                    continue;
-                }
-            }
-            i += 2;
-        }
-        self
+    /// Apply the flags that override these defaults.
+    pub fn with_flags(self, flags: &mut Flags) -> Result<Self, String> {
+        Ok(BenchConfig {
+            n: flags.get("--n", self.n)?,
+            knn_queries: flags.get("--queries", self.knn_queries)?,
+            range_queries: flags.get("--ranges", self.range_queries)?,
+            k: flags.get("--k", self.k)?,
+            seed: flags.get("--seed", self.seed)?,
+            max_coord: flags.get("--max-coord", self.max_coord)?,
+            ..self
+        })
     }
 
     /// The root region for this configuration.
@@ -150,6 +144,15 @@ pub fn bench_json(name: &str, fields: impl IntoIterator<Item = (&'static str, Js
         ("host", host),
     ];
     Json::obj(head.into_iter().chain(fields))
+}
+
+/// Run `f` inside a worker pool of `threads` workers.
+pub fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("failed to build rayon pool")
+        .install(f)
 }
 
 /// Write a benchmark document to `path` and say so on stdout.

@@ -12,24 +12,24 @@
 //! Every cell ends with a hard correctness check: the order-independent
 //! FNV checksum over every socket reply must equal an in-process replay of
 //! the identical request sequence through the coalescing handle — a
-//! dropped, corrupted or mis-routed answer fails the binary.
+//! dropped, corrupted or mis-routed answer fails the run.
 //!
 //! The sweep is clamped to the process fd budget (a loopback connection
 //! costs two descriptors in-process); clamping is logged, never silent.
 //!
-//! Usage:
-//! `cargo run --release -p psi-bench --bin bench_net [-- --n 50000 --rounds 20 --out BENCH_net.json --smoke]`
+//! Usage: `cargo run --release -p psi-bench -- net [flags]`, flags as in
+//! [`USAGE`]; `--smoke` shrinks the sweep to a CI-friendly size.
 
-use psi::registry::{self, BuildOptions};
-use psi::PointI;
+use crate::flags::Flags;
+use crate::serve::{server_parts, server_workload};
+use crate::{bench_json, write_json};
+use psi::registry;
+use psi::{PointI, RectI};
 use psi_net::loadgen::{fanout, replay_checksum, FanoutSpec};
 use psi_net::{fd_budget, loopback, NetConfig, NetServer};
 use psi_obs::Json;
-use psi_server::{IndexFactory, PsiServer, ServeConfig};
-use psi_workloads as workloads;
+use psi_server::{PsiServer, ServeConfig};
 use std::sync::Arc;
-
-const MAX_COORD: i64 = 1_000_000_000;
 
 /// One fan-out cell: printed, and returned as its `cells` row.
 #[allow(clippy::too_many_arguments)]
@@ -37,17 +37,13 @@ fn run_cell(
     family: &'static str,
     data: &[PointI<2>],
     queries: &[PointI<2>],
-    rects: &[psi_geometry::RectI<2>],
+    rects: &[RectI<2>],
     connections: usize,
     spec_base: &FanoutSpec,
     shards: usize,
     coalesce: usize,
 ) -> Json {
-    let universe = workloads::universe::<2>(MAX_COORD);
-    let opts = BuildOptions::with_universe(universe);
-    let factory: IndexFactory<i64, 2> = Arc::new(move |pts: &[PointI<2>]| {
-        registry::create::<2>(family, pts, &opts).expect("registry families all build")
-    });
+    let (universe, factory) = server_parts(family);
     let server = Arc::new(PsiServer::new(
         data,
         &universe,
@@ -94,47 +90,25 @@ fn run_cell(
     ])
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut n = 50_000usize;
-    let mut rounds = 20usize;
-    let mut k = 10usize;
-    let mut shards = 2usize;
-    let mut coalesce = 64usize;
-    let mut workers = 8usize;
-    let mut family: &'static str = "spac-h";
-    let mut out = "BENCH_net.json".to_string();
-    let mut smoke = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            flag if i + 1 < args.len() => {
-                let value = &args[i + 1];
-                match flag {
-                    "--n" => n = value.parse().expect("--n expects an integer"),
-                    "--rounds" => rounds = value.parse().expect("--rounds expects an integer"),
-                    "--k" => k = value.parse().expect("--k expects an integer"),
-                    "--shards" => shards = value.parse().expect("--shards expects an integer"),
-                    "--coalesce" => {
-                        coalesce = value.parse().expect("--coalesce expects an integer")
-                    }
-                    "--workers" => workers = value.parse().expect("--workers expects an integer"),
-                    "--family" => {
-                        family = registry::resolve_name(value)
-                            .unwrap_or_else(|| panic!("unknown family {value:?}"))
-                    }
-                    "--out" => out = value.clone(),
-                    other => panic!("unknown flag {other:?}"),
-                }
-                i += 2;
-            }
-            other => panic!("unknown flag {other:?}"),
-        }
-    }
+/// The flags and their defaults.
+pub const USAGE: &str = "psi-bench net [--n 50000] [--rounds 20] [--k 10] [--shards 2] \
+    [--coalesce 64] [--workers 8] [--family spac-h] [--out BENCH_net.json] [--smoke]";
+
+/// Run the sweep and write its file.
+pub fn main(args: &[String]) -> Result<(), String> {
+    let mut flags = Flags::parse(args, &["--smoke"])?;
+    let mut n: usize = flags.get("--n", 50_000)?;
+    let mut rounds: usize = flags.get("--rounds", 20)?;
+    let k: usize = flags.get("--k", 10)?;
+    let shards: usize = flags.get("--shards", 2)?;
+    let coalesce: usize = flags.get("--coalesce", 64)?;
+    let workers: usize = flags.get("--workers", 8)?;
+    let family: String = flags.get("--family", "spac-h".into())?;
+    let family = registry::resolve_name(&family)
+        .ok_or_else(|| format!("invalid value {family:?} for --family"))?;
+    let out: String = flags.get("--out", "BENCH_net.json".into())?;
+    let smoke = flags.switch("--smoke");
+    flags.finish()?;
     if smoke {
         n = n.min(8_000);
         rounds = rounds.min(5);
@@ -150,9 +124,7 @@ fn main() {
         &[256, 1_000, 4_000, 10_000]
     };
 
-    let data = workloads::uniform::<2>(n, MAX_COORD, 42);
-    let queries = workloads::ind_queries(&data, 512, 43);
-    let rects = workloads::range_queries(&data, MAX_COORD, 50, 128, 44);
+    let (data, queries, rects) = server_workload(n);
     let spec_base = FanoutSpec {
         connections: 0,
         workers,
@@ -161,7 +133,7 @@ fn main() {
     };
 
     println!(
-        "# bench_net: family = {family}, n = {n}, rounds/conn = {rounds}, shards = {shards}, \
+        "# psi-bench net: family = {family}, n = {n}, rounds/conn = {rounds}, shards = {shards}, \
          coalesce = {coalesce}, workers = {workers}, fd budget = {budget} (max {max_conns} conns)"
     );
     let mut cells: Vec<Json> = Vec::new();
@@ -187,7 +159,7 @@ fn main() {
         ));
     }
 
-    let doc = psi_bench::bench_json(
+    let doc = bench_json(
         "net_fanout",
         [
             ("family", family.into()),
@@ -208,5 +180,6 @@ fn main() {
             ("cells", cells.into()),
         ],
     );
-    psi_bench::write_json(&out, &doc);
+    write_json(&out, &doc);
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! Parallel throughput sweep — batch queries, index construction and batch
 //! updates.
 //!
-//! For every index family in the runtime registry, this binary
+//! For every index family in the runtime registry, `psi-bench parallel`
 //!
 //! 1. runs `knn_batch` and `range_count_batch` under rayon pools of 1, 2, 4
 //!    and `current_num_threads()` workers and writes the per-family
@@ -9,7 +9,7 @@
 //! 2. runs the family's full **construction** (`registry::create`, i.e.
 //!    `build_with` under the hood — the deep fork-join recursions the
 //!    task-deque executor exists for) under the same thread counts, then
-//!    one **update round** on the built index (a [`UPDATE_BATCH`]-point
+//!    one **update round** on the built index (an `UPDATE_BATCH`-point
 //!    `batch_delete` followed by as large a `batch_insert`), and writes both to
 //!    `BENCH_build.json` (see `--build-out`).
 //!
@@ -17,15 +17,16 @@
 //! single-thread run — after the build and again after the update rounds
 //! the index is probed (kNN, and `range_list` compared in order) and its
 //! answers compared, so a scheduling-dependent build or update fails the
-//! binary, not just skews a number. Thread counts above the machine's core
+//! run, not just skews a number. Thread counts above the machine's core
 //! count still run (the shim pool oversubscribes, as upstream rayon does)
 //! but cannot show real speedup.
 //!
-//! Usage:
-//! `cargo run --release -p psi-bench --bin bench_parallel [-- --n 200000 --queries 20000 --ranges 2000 --reps 3 --out BENCH_parallel.json --build-out BENCH_build.json]`
+//! Usage: `cargo run --release -p psi-bench -- parallel [flags]`, flags as
+//! in [`USAGE`].
 
+use crate::flags::Flags;
+use crate::{bench_json, with_pool, write_json, BenchConfig};
 use psi::registry::{self, BuildOptions, DynIndex};
-use psi_bench::BenchConfig;
 use psi_obs::Json;
 use psi_workloads as workloads;
 use std::time::Instant;
@@ -43,14 +44,6 @@ impl Sample {
         let qps = ops as f64 / secs;
         Sample { threads, secs, qps }
     }
-}
-
-fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build rayon pool")
-        .install(f)
 }
 
 fn thread_counts() -> Vec<usize> {
@@ -101,35 +94,24 @@ fn speedup(samples: &[Sample]) -> f64 {
     }
 }
 
-fn parse_extra_args() -> (usize, String, String) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut reps = 3usize;
-    let mut out = "BENCH_parallel.json".to_string();
-    let mut build_out = "BENCH_build.json".to_string();
-    let mut i = 1;
-    while i + 1 < args.len() {
-        match args[i].as_str() {
-            "--reps" => reps = args[i + 1].parse().expect("--reps expects an integer"),
-            "--out" => out = args[i + 1].clone(),
-            "--build-out" => build_out = args[i + 1].clone(),
-            _ => {
-                i += 1;
-                continue;
-            }
-        }
-        i += 2;
-    }
-    (reps, out, build_out)
-}
+/// The flags and their defaults.
+pub const USAGE: &str = "psi-bench parallel [--n 200000] [--queries 20000] [--ranges 2000] \
+    [--k 10] [--seed 42] [--max-coord 1000000000] [--reps 3] [--out BENCH_parallel.json] \
+    [--build-out BENCH_build.json]";
 
-fn main() {
+/// Run the sweep and write both files.
+pub fn main(args: &[String]) -> Result<(), String> {
+    let mut flags = Flags::parse(args, &[])?;
     let cfg = BenchConfig {
         knn_queries: 20_000,
         range_queries: 2_000,
         ..BenchConfig::default_2d()
     }
-    .from_args();
-    let (reps, out_path, build_out_path) = parse_extra_args();
+    .with_flags(&mut flags)?;
+    let reps: usize = flags.get("--reps", 3)?;
+    let out_path: String = flags.get("--out", "BENCH_parallel.json".into())?;
+    let build_out_path: String = flags.get("--build-out", "BENCH_build.json".into())?;
+    flags.finish()?;
 
     let data = workloads::uniform::<2>(cfg.n, cfg.max_coord, cfg.seed);
     let qs = cfg.query_set(&data);
@@ -137,7 +119,7 @@ fn main() {
     let counts = thread_counts();
 
     println!(
-        "# bench_parallel: n = {}, knn queries = {} (k = {}), range queries = {}, threads = {:?} (machine: {})",
+        "# psi-bench parallel: n = {}, knn queries = {} (k = {}), range queries = {}, threads = {:?} (machine: {})",
         cfg.n,
         qs.knn_ind.len(),
         cfg.k,
@@ -195,7 +177,7 @@ fn main() {
         ]));
     }
 
-    let doc = psi_bench::bench_json(
+    let doc = bench_json(
         "parallel_batch_queries",
         [
             ("n", cfg.n.into()),
@@ -207,7 +189,7 @@ fn main() {
             ("indexes", family_blocks.into()),
         ],
     );
-    psi_bench::write_json(&out_path, &doc);
+    write_json(&out_path, &doc);
 
     // ---------------------------------------------------------------------
     // Construction + update sweep: full `build_with` per family per thread
@@ -283,7 +265,7 @@ fn main() {
         ]));
     }
 
-    let doc = psi_bench::bench_json(
+    let doc = bench_json(
         "parallel_construction_and_update",
         [
             ("n", cfg.n.into()),
@@ -293,5 +275,18 @@ fn main() {
             ("indexes", build_blocks.into()),
         ],
     );
-    psi_bench::write_json(&build_out_path, &doc);
+    write_json(&build_out_path, &doc);
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::flags::args;
+
+    #[test]
+    fn a_mistyped_flag_is_rejected_not_run_at_the_default() {
+        // `--reps` is the flag; the run stops before it builds anything.
+        let err = super::main(&args(&["--n", "20000", "--rep", "1"])).err();
+        assert_eq!(err.as_deref(), Some("unknown flag --rep"));
+    }
 }

@@ -11,15 +11,15 @@
 //!
 //! The writer's move batches keep the live count invariant, so every cell
 //! ends with a hard correctness check: after quiescing, the server must
-//! hold exactly `n` points — a torn or lost batch fails the binary.
+//! hold exactly `n` points — a torn or lost batch fails the run.
 //!
-//! Usage:
-//! `cargo run --release -p psi-bench --bin bench_serve [-- --n 50000 --ops 2000 --shards 2 --out BENCH_serve.json --smoke]`
-//!
-//! `--smoke` shrinks the sweep to a CI-friendly size.
+//! Usage: `cargo run --release -p psi-bench -- serve [flags]`, flags as in
+//! [`USAGE`]; `--smoke` shrinks the sweep to a CI-friendly size.
 
+use crate::flags::Flags;
+use crate::{bench_json, write_json};
 use psi::registry::{self, BuildOptions};
-use psi::PointI;
+use psi::{PointI, RectI};
 use psi_obs::Json;
 use psi_server::{
     closed_loop, DurabilityConfig, FsyncPolicy, IndexFactory, LoadSpec, PsiServer, Router,
@@ -30,6 +30,26 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const MAX_COORD: i64 = 1_000_000_000;
+
+/// The universe the serve and net benchmarks draw their data from, and a
+/// server's [`IndexFactory`] building `family` through the registry over it.
+pub(crate) fn server_parts(family: &'static str) -> (RectI<2>, IndexFactory<i64, 2>) {
+    let universe = workloads::universe::<2>(MAX_COORD);
+    let opts = BuildOptions::with_universe(universe);
+    let factory: IndexFactory<i64, 2> = Arc::new(move |pts: &[PointI<2>]| {
+        registry::create::<2>(family, pts, &opts).expect("registry families all build")
+    });
+    (universe, factory)
+}
+
+/// The data, kNN queries and range rectangles of the serve and net
+/// benchmarks.
+pub(crate) fn server_workload(n: usize) -> (Vec<PointI<2>>, Vec<PointI<2>>, Vec<RectI<2>>) {
+    let data = workloads::uniform::<2>(n, MAX_COORD, 42);
+    let queries = workloads::ind_queries(&data, 512, 43);
+    let rects = workloads::range_queries(&data, MAX_COORD, 50, 128, 44);
+    (data, queries, rects)
+}
 
 /// Writer pacing per sweep point: `None` = read-only cell.
 fn write_modes() -> Vec<(&'static str, Option<u64>)> {
@@ -46,7 +66,7 @@ fn run_cell(
     family: &'static str,
     data: &[PointI<2>],
     queries: &[PointI<2>],
-    rects: &[psi_geometry::RectI<2>],
+    rects: &[RectI<2>],
     clients: usize,
     ops: usize,
     (write_mode, write_every_ms): (&'static str, Option<u64>),
@@ -54,11 +74,7 @@ fn run_cell(
     coalesce: usize,
     k: usize,
 ) -> Json {
-    let universe = workloads::universe::<2>(MAX_COORD);
-    let opts = BuildOptions::with_universe(universe);
-    let factory: IndexFactory<i64, 2> = Arc::new(move |pts: &[PointI<2>]| {
-        registry::create::<2>(family, pts, &opts).expect("registry families all build")
-    });
+    let (universe, factory) = server_parts(family);
     let server = Arc::new(PsiServer::new(
         data,
         &universe,
@@ -119,11 +135,7 @@ fn publish_latency_cell(
     batch: usize,
     rounds: usize,
 ) -> Json {
-    let universe = workloads::universe::<2>(MAX_COORD);
-    let opts = BuildOptions::with_universe(universe);
-    let factory: IndexFactory<i64, 2> = Arc::new(move |pts: &[PointI<2>]| {
-        registry::create::<2>(family, pts, &opts).expect("registry families all build")
-    });
+    let (universe, factory) = server_parts(family);
     let cfg = ServeConfig {
         shards,
         ..Default::default()
@@ -178,11 +190,7 @@ fn fsync_policy_cell(
         policy.name()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let universe = workloads::universe::<2>(MAX_COORD);
-    let opts = BuildOptions::with_universe(universe);
-    let factory: IndexFactory<i64, 2> = Arc::new(move |pts: &[PointI<2>]| {
-        registry::create::<2>(family, pts, &opts).expect("registry families all build")
-    });
+    let (universe, factory) = server_parts(family);
     let server = Arc::new(PsiServer::new(
         data,
         &universe,
@@ -255,38 +263,20 @@ fn fsync_policy_cell(
     ])
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut n = 50_000usize;
-    let mut ops = 1_500usize;
-    let mut shards = 2usize;
-    let mut coalesce = 64usize;
-    let mut out = "BENCH_serve.json".to_string();
-    let mut smoke = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            flag if i + 1 < args.len() => {
-                let value = &args[i + 1];
-                match flag {
-                    "--n" => n = value.parse().expect("--n expects an integer"),
-                    "--ops" => ops = value.parse().expect("--ops expects an integer"),
-                    "--shards" => shards = value.parse().expect("--shards expects an integer"),
-                    "--coalesce" => {
-                        coalesce = value.parse().expect("--coalesce expects an integer")
-                    }
-                    "--out" => out = value.clone(),
-                    other => panic!("unknown flag {other:?}"),
-                }
-                i += 2;
-            }
-            other => panic!("unknown flag {other:?}"),
-        }
-    }
+/// The flags and their defaults.
+pub const USAGE: &str =
+    "psi-bench serve [--n 50000] [--ops 1500] [--shards 2] [--coalesce 64] [--out BENCH_serve.json] [--smoke]";
+
+/// Run the sweep and write its file.
+pub fn main(args: &[String]) -> Result<(), String> {
+    let mut flags = Flags::parse(args, &["--smoke"])?;
+    let mut n: usize = flags.get("--n", 50_000)?;
+    let mut ops: usize = flags.get("--ops", 1_500)?;
+    let shards: usize = flags.get("--shards", 2)?;
+    let coalesce: usize = flags.get("--coalesce", 64)?;
+    let out: String = flags.get("--out", "BENCH_serve.json".into())?;
+    let smoke = flags.switch("--smoke");
+    flags.finish()?;
     if smoke {
         n = n.min(8_000);
         ops = ops.min(200);
@@ -305,12 +295,10 @@ fn main() {
     };
     let k = 10;
 
-    let data = workloads::uniform::<2>(n, MAX_COORD, 42);
-    let queries = workloads::ind_queries(&data, 512, 43);
-    let rects = workloads::range_queries(&data, MAX_COORD, 50, 128, 44);
+    let (data, queries, rects) = server_workload(n);
 
     println!(
-        "# bench_serve: n = {n}, ops/client = {ops}, shards = {shards}, coalesce = {coalesce}, machine threads = {}",
+        "# psi-bench serve: n = {n}, ops/client = {ops}, shards = {shards}, coalesce = {coalesce}, machine threads = {}",
         rayon::current_num_threads()
     );
     let mut blocks: Vec<Json> = Vec::new();
@@ -350,7 +338,7 @@ fn main() {
     .map(|policy| fsync_policy_cell("pkd", &data, shards, fsync_batch, fsync_rounds, policy))
     .collect();
 
-    let doc = psi_bench::bench_json(
+    let doc = bench_json(
         "serve_closed_loop",
         [
             ("n", n.into()),
@@ -372,5 +360,6 @@ fn main() {
             ("families", blocks.into()),
         ],
     );
-    psi_bench::write_json(&out, &doc);
+    write_json(&out, &doc);
+    Ok(())
 }

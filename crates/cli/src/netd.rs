@@ -4,7 +4,7 @@
 //! The binary in `src/bin/psi-netd.rs` is a thin shell around this module:
 //! [`parse_args`] turns flags into a [`NetdConfig`], [`boot`] builds the
 //! dataset, the sharded server and the socket front-end, and the binary then
-//! blocks until stdin reaches EOF — so a driving script (or `bench_net`)
+//! blocks until stdin reaches EOF — so a driving script (or `psi-bench net`)
 //! holds the daemon up exactly as long as it holds the pipe open.
 
 use crate::scenario::CoordKind;

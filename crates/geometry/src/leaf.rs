@@ -38,7 +38,7 @@
 //!
 //! The AoS reference kernels ([`aos_range_count`], [`aos_range_visit`],
 //! [`aos_knn_offer`]) are kept as free functions: they are the equivalence
-//! oracle for the proptests and the baseline for `bench_leaf`.
+//! oracle for the proptests and the baseline for `psi-bench leaf`.
 
 use crate::coord::Coord;
 use crate::knn::KnnHeap;

@@ -31,6 +31,13 @@ pub trait LeafSized {
     fn set_leaf_size(&mut self, leaf_size: usize);
 }
 
+/// The config of the configless families (R-tree, brute force): they have no
+/// leaf threshold, so the override is ignored, as [`crate::BuildOptions`]
+/// documents.
+impl LeafSized for () {
+    fn set_leaf_size(&mut self, _leaf_size: usize) {}
+}
+
 impl LeafSized for psi_porth::POrthConfig {
     fn set_leaf_size(&mut self, leaf_size: usize) {
         self.leaf_cap = leaf_size;

@@ -3,9 +3,12 @@
 //!
 //! Compile-time generics ([`SpatialIndex`]) are the fast path; drivers, CLI
 //! scenarios and benchmark sweeps instead want to pick an index *by name* at
-//! runtime. [`create`] instantiates any family behind a
-//! `Box<dyn DynIndex<i64, D>>`, and [`create_f64`] does the same for the
-//! float-capable families (the SFC-free P-Orth and Pkd trees).
+//! runtime. [`with_family`] is the one table from a name to its `i64` family type: it
+//! runs a [`FamilyVisitor`] monomorphised for the named family, so callers
+//! that time a family's own code keep static dispatch. [`create`] is built on
+//! it and instantiates any family behind a `Box<dyn DynIndex<i64, D>>`, and
+//! [`create_f64`] does the same for the float-capable families ([`float_names`]:
+//! every family but the R-tree, the SFC ones through the quantising adapter).
 //!
 //! ```
 //! use psi::registry;
@@ -235,7 +238,7 @@ impl<T: Coord, const D: usize> BuildOptions<T, D> {
     }
 }
 
-/// Failure modes of [`create`] / [`create_f64`].
+/// Failure modes of [`with_family`], [`create`] and [`create_f64`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RegistryError {
     /// The name matches no registered index; the payload echoes it back.
@@ -305,29 +308,18 @@ fn canonical(name: &str) -> String {
     name.trim().to_ascii_lowercase().replace([' ', '_'], "-")
 }
 
-/// Resolve any accepted spelling (canonical names plus the obvious aliases)
-/// to the canonical registry name; shared by [`create`] and [`create_f64`] so
-/// both report the same errors for the same inputs.
-fn resolve(name: &str) -> Option<&'static str> {
-    Some(match canonical(name).as_str() {
-        "p-orth" | "porth" | "orth" => "p-orth",
-        "spac-h" | "spach" => "spac-h",
-        "spac-z" | "spacz" => "spac-z",
-        "cpam-h" | "cpamh" => "cpam-h",
-        "cpam-z" | "cpamz" => "cpam-z",
-        "pkd" | "pkd-tree" => "pkd",
-        "zd" | "zd-tree" => "zd",
-        "r-tree" | "rtree" | "boost-r" => "r-tree",
-        "brute-force" | "bruteforce" | "oracle" => "brute-force",
-        _ => return None,
-    })
-}
-
 /// Resolve any accepted spelling to the canonical registry name without
 /// building anything — the validation entry point for scenario files and CLI
 /// flags that need to reject unknown families before generating data.
 pub fn resolve_name(name: &str) -> Option<&'static str> {
-    resolve(name)
+    struct Name;
+    impl FamilyVisitor<2> for Name {
+        type Output = &'static str;
+        fn visit<I: SpatialIndex<i64, 2>>(self, name: &'static str) -> &'static str {
+            name
+        }
+    }
+    with_family::<2, _>(name, Name).ok()
 }
 
 fn config_with_leaf<C: Default + LeafSized, T: Coord, const D: usize>(
@@ -338,6 +330,47 @@ fn config_with_leaf<C: Default + LeafSized, T: Coord, const D: usize>(
         cfg.set_leaf_size(leaf);
     }
     cfg
+}
+
+/// A computation over one registry family as a concrete type. [`with_family`]
+/// calls [`FamilyVisitor::visit`] monomorphised for the family a name
+/// resolves to, so the visitor's body runs with static dispatch.
+pub trait FamilyVisitor<const D: usize> {
+    /// What a visit returns.
+    type Output;
+
+    /// Run over family `I`, whose canonical registry name is `name`.
+    fn visit<I: SpatialIndex<i64, D, Config: LeafSized> + 'static>(
+        self,
+        name: &'static str,
+    ) -> Self::Output;
+}
+
+/// The registry's one table from family name to `i64` family type: resolve `name` (a
+/// canonical name or an alias, in any case, with `_` or a space for `-`) and
+/// run `visitor` over that family.
+pub fn with_family<const D: usize, V: FamilyVisitor<D>>(
+    name: &str,
+    visitor: V,
+) -> Result<V::Output, RegistryError>
+where
+    HilbertCurve: SfcCurve<D>,
+    MortonCurve: SfcCurve<D>,
+{
+    Ok(match canonical(name).as_str() {
+        "p-orth" | "porth" | "orth" => visitor.visit::<POrthTree<i64, D>>("p-orth"),
+        "spac-h" | "spach" => visitor.visit::<SpacHTree<D>>("spac-h"),
+        "spac-z" | "spacz" => visitor.visit::<SpacZTree<D>>("spac-z"),
+        "cpam-h" | "cpamh" => visitor.visit::<CpamHTree<D>>("cpam-h"),
+        "cpam-z" | "cpamz" => visitor.visit::<CpamZTree<D>>("cpam-z"),
+        "pkd" | "pkd-tree" => visitor.visit::<PkdTree<i64, D>>("pkd"),
+        "zd" | "zd-tree" => visitor.visit::<ZdTree<D>>("zd"),
+        "r-tree" | "rtree" | "boost-r" => visitor.visit::<RTree<D>>("r-tree"),
+        "brute-force" | "bruteforce" | "oracle" => {
+            visitor.visit::<BruteForce<i64, D>>("brute-force")
+        }
+        _ => return Err(RegistryError::UnknownIndex(name.to_string())),
+    })
 }
 
 /// Instantiate an integer-coordinate index by name.
@@ -353,48 +386,21 @@ where
     HilbertCurve: SfcCurve<D>,
     MortonCurve: SfcCurve<D>,
 {
-    let universe = opts.universe.as_ref();
-    let resolved = resolve(name).ok_or_else(|| RegistryError::UnknownIndex(name.to_string()))?;
-    Ok(match resolved {
-        "p-orth" => boxed(POrthTree::<i64, D>::build_with(
-            points,
-            universe,
-            config_with_leaf::<POrthConfig, _, D>(opts),
-        )),
-        "spac-h" => boxed(SpacHTree::<D>::build_with(
-            points,
-            universe,
-            config_with_leaf::<SpacConfig, _, D>(opts),
-        )),
-        "spac-z" => boxed(SpacZTree::<D>::build_with(
-            points,
-            universe,
-            config_with_leaf::<SpacConfig, _, D>(opts),
-        )),
-        "cpam-h" => boxed(CpamHTree::<D>::build_with(
-            points,
-            universe,
-            config_with_leaf::<CpamConfig, _, D>(opts),
-        )),
-        "cpam-z" => boxed(CpamZTree::<D>::build_with(
-            points,
-            universe,
-            config_with_leaf::<CpamConfig, _, D>(opts),
-        )),
-        "pkd" => boxed(PkdTree::<i64, D>::build_with(
-            points,
-            universe,
-            config_with_leaf::<PkdConfig, _, D>(opts),
-        )),
-        "zd" => boxed(ZdTree::<D>::build_with(
-            points,
-            universe,
-            config_with_leaf::<psi_zd::ZdConfig, _, D>(opts),
-        )),
-        "r-tree" => boxed(RTree::<D>::build_with(points, universe, ())),
-        "brute-force" => boxed(BruteForce::<i64, D>::build_with(points, universe, ())),
-        _ => unreachable!("resolve() only returns canonical names"),
-    })
+    struct Create<'a, const D: usize> {
+        points: &'a [PointI<D>],
+        opts: &'a BuildOptions<i64, D>,
+    }
+    impl<const D: usize> FamilyVisitor<D> for Create<'_, D> {
+        type Output = Box<dyn DynIndex<i64, D>>;
+        fn visit<I: SpatialIndex<i64, D, Config: LeafSized> + 'static>(
+            self,
+            _name: &'static str,
+        ) -> Self::Output {
+            let cfg = config_with_leaf::<I::Config, i64, D>(self.opts);
+            boxed(I::build_with(self.points, self.opts.universe.as_ref(), cfg))
+        }
+    }
+    with_family(name, Create { points, opts })
 }
 
 /// Quantised config for an SFC family under `create_f64`: inner config with
@@ -429,7 +435,8 @@ where
     MortonCurve: SfcCurve<D>,
 {
     let universe = opts.universe.as_ref();
-    let resolved = resolve(name).ok_or_else(|| RegistryError::UnknownIndex(name.to_string()))?;
+    let resolved =
+        resolve_name(name).ok_or_else(|| RegistryError::UnknownIndex(name.to_string()))?;
     Ok(match resolved {
         "p-orth" => boxed(POrthTree::<f64, D>::build_with(
             points,
@@ -469,4 +476,67 @@ where
         "brute-force" => boxed(BruteForce::<f64, D>::build_with(points, universe, ())),
         _ => return Err(RegistryError::UnsupportedCoordinates(name.to_string())),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Reports the canonical name and the concrete type a visit reached.
+    struct Which;
+
+    impl<const D: usize> FamilyVisitor<D> for Which {
+        type Output = (&'static str, &'static str);
+        fn visit<I: SpatialIndex<i64, D>>(self, name: &'static str) -> Self::Output {
+            (name, std::any::type_name::<I>())
+        }
+    }
+
+    #[test]
+    fn with_family_visits_every_name_and_alias() {
+        let mut types = Vec::new();
+        for &name in names() {
+            let (visited, ty) = with_family::<2, _>(name, Which).unwrap();
+            assert_eq!(visited, name);
+            assert_eq!(with_family::<3, _>(name, Which).unwrap().0, name);
+            types.push(ty);
+        }
+        types.sort_unstable();
+        types.dedup();
+        assert_eq!(types.len(), names().len(), "each family is its own type");
+
+        let aliases = [
+            ("porth", "p-orth"),
+            ("orth", "p-orth"),
+            ("P-Orth", "p-orth"),
+            ("spac_h", "spac-h"),
+            ("SPaC-H", "spac-h"),
+            ("spach", "spac-h"),
+            ("spac z", "spac-z"),
+            ("spacz", "spac-z"),
+            ("cpamh", "cpam-h"),
+            ("CPAM_Z", "cpam-z"),
+            ("cpamz", "cpam-z"),
+            ("pkd-tree", "pkd"),
+            ("zd-tree", "zd"),
+            ("rtree", "r-tree"),
+            ("boost-r", "r-tree"),
+            ("bruteforce", "brute-force"),
+            ("oracle", "brute-force"),
+        ];
+        for (alias, target) in aliases {
+            assert_eq!(
+                with_family::<2, _>(alias, Which),
+                with_family::<2, _>(target, Which),
+                "{alias}"
+            );
+        }
+
+        for unknown in ["kd-tree", "", "p-orth-2"] {
+            assert_eq!(
+                with_family::<2, _>(unknown, Which),
+                Err(RegistryError::UnknownIndex(unknown.to_string()))
+            );
+        }
+    }
 }

@@ -31,7 +31,7 @@
 //! std threads + channels riding the workspace's rayon-shim pool for the
 //! batched query execution — no async runtime. [`loadgen`] adds the shared
 //! closed-loop driver (clients × move-batch writer with a count-conservation
-//! check) behind `bench_serve` and the scenario harness's `[serve]` phase.
+//! check) behind `psi-bench serve` and the scenario harness's `[serve]` phase.
 //!
 //! The router also retains a bounded log of recent views
 //! ([`ServeConfig::epoch_history`]): [`PsiServer::view_at`] and the `*_at`

@@ -1,5 +1,5 @@
 //! Closed-loop load generation against a [`PsiServer`] — the shared driver
-//! behind `bench_serve` and the scenario harness's `[serve]` phase.
+//! behind `psi-bench serve` and the scenario harness's `[serve]` phase.
 //!
 //! The loop spawns `clients` reader threads, each issuing
 //! `ops_per_client` queries through a coalescing client handle (a
