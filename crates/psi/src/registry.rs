@@ -319,6 +319,7 @@ pub fn resolve_name(name: &str) -> Option<&'static str> {
             name
         }
     }
+    // A name does not depend on the dimension; every family supports 2-D.
     with_family::<2, _>(name, Name).ok()
 }
 
