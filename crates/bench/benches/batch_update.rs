@@ -1,13 +1,47 @@
 //! Criterion micro-benchmarks: single batch insertion and deletion into an
 //! existing tree (the paper's headline operation).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use psi::{POrthTree2, PkdTree, SpacHTree, SpacZTree, SpatialIndex, ZdTree};
+use criterion::measurement::WallTime;
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
+use psi::registry::{self, FamilyVisitor};
+use psi::{PointI, RectI, SpatialIndex};
 use psi_workloads::{self as workloads, Distribution};
 use std::time::Duration;
 
 const N: usize = 50_000;
 const BATCH: usize = 5_000;
+
+/// Time one family's batch insertion (`insert`) or deletion of `batch` into
+/// a fresh build over `data`.
+struct Update<'a, 'g> {
+    group: &'a mut BenchmarkGroup<'g, WallTime>,
+    dist: &'static str,
+    data: &'a [PointI<2>],
+    batch: &'a [PointI<2>],
+    universe: &'a RectI<2>,
+    insert: bool,
+}
+
+impl FamilyVisitor<2> for Update<'_, '_> {
+    type Output = ();
+    fn visit<I: SpatialIndex<i64, 2>>(self, name: &'static str) {
+        let (batch, universe, insert) = (self.batch, self.universe, self.insert);
+        self.group
+            .bench_with_input(BenchmarkId::new(name, self.dist), self.data, |b, d| {
+                b.iter_batched(
+                    || I::build(d, universe),
+                    |mut index| {
+                        if insert {
+                            index.batch_insert(batch);
+                        } else {
+                            index.batch_delete(batch);
+                        }
+                    },
+                    criterion::BatchSize::LargeInput,
+                )
+            });
+    }
+}
 
 fn bench_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_insert");
@@ -20,23 +54,17 @@ fn bench_insert(c: &mut Criterion) {
     for dist in [Distribution::Uniform, Distribution::Varden] {
         let data = dist.generate::<2>(N, workloads::DEFAULT_MAX_COORD_2D, 42);
         let batch = dist.generate::<2>(BATCH, workloads::DEFAULT_MAX_COORD_2D, 77);
-
-        macro_rules! bench_index {
-            ($name:literal, $ty:ty) => {
-                group.bench_with_input(BenchmarkId::new($name, dist.name()), &data, |b, d| {
-                    b.iter_batched(
-                        || <$ty as SpatialIndex<i64, 2>>::build(d, &universe),
-                        |mut index| index.batch_insert(&batch),
-                        criterion::BatchSize::LargeInput,
-                    )
-                });
+        for name in ["p-orth", "spac-h", "spac-z", "zd", "pkd"] {
+            let update = Update {
+                group: &mut group,
+                dist: dist.name(),
+                data: &data,
+                batch: &batch,
+                universe: &universe,
+                insert: true,
             };
+            registry::with_family(name, update).expect("registered family");
         }
-        bench_index!("P-Orth", POrthTree2);
-        bench_index!("SPaC-H", SpacHTree<2>);
-        bench_index!("SPaC-Z", SpacZTree<2>);
-        bench_index!("Zd-Tree", ZdTree<2>);
-        bench_index!("Pkd-Tree", PkdTree<2>);
     }
     group.finish();
 }
@@ -51,22 +79,17 @@ fn bench_delete(c: &mut Criterion) {
 
     for dist in [Distribution::Uniform, Distribution::Varden] {
         let data = dist.generate::<2>(N, workloads::DEFAULT_MAX_COORD_2D, 42);
-        let victims = &data[..BATCH];
-
-        macro_rules! bench_index {
-            ($name:literal, $ty:ty) => {
-                group.bench_with_input(BenchmarkId::new($name, dist.name()), &data, |b, d| {
-                    b.iter_batched(
-                        || <$ty as SpatialIndex<i64, 2>>::build(d, &universe),
-                        |mut index| index.batch_delete(victims),
-                        criterion::BatchSize::LargeInput,
-                    )
-                });
+        for name in ["p-orth", "spac-h", "pkd"] {
+            let update = Update {
+                group: &mut group,
+                dist: dist.name(),
+                data: &data,
+                batch: &data[..BATCH],
+                universe: &universe,
+                insert: false,
             };
+            registry::with_family(name, update).expect("registered family");
         }
-        bench_index!("P-Orth", POrthTree2);
-        bench_index!("SPaC-H", SpacHTree<2>);
-        bench_index!("Pkd-Tree", PkdTree<2>);
     }
     group.finish();
 }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use psi::{HilbertCurve, MortonCurve, Point, PointI, SfcCurve};
-use psi_parutils::{exclusive_scan, hybrid_sort_keys, par_sort_by_key, sieve_by};
+use psi_parutils::{exclusive_scan, hybrid_sort_keys, par_integer_sort, sieve_by};
 use psi_sfc::hilbert::skilling_key;
 use psi_workloads as workloads;
 use std::time::Duration;
@@ -84,19 +84,34 @@ fn bench_sieve_and_sort(c: &mut Criterion) {
         });
     }
 
-    group.bench_function("par_sort_by_key", |b| {
+    group.bench_function("par_integer_sort", |b| {
         b.iter_batched(
             || data.clone(),
-            |mut v| par_sort_by_key(&mut v, |x| *x),
+            |mut v| par_integer_sort(&mut v, |x| *x, |x| *x),
             criterion::BatchSize::LargeInput,
         )
     });
 
-    let points: Vec<PointI<2>> =
-        workloads::uniform::<2>(200_000, workloads::DEFAULT_MAX_COORD_2D, 3);
-    group.bench_function("hybrid_sort_keys_hilbert", |b| {
-        b.iter(|| hybrid_sort_keys(&points, <HilbertCurve as SfcCurve<2>>::encode))
-    });
+    // Uniform and clustered points: on Varden the integer sort's buckets go
+    // heavy and recurse on further digits.
+    for (name, points) in [
+        (
+            "uniform",
+            workloads::uniform::<2>(200_000, workloads::DEFAULT_MAX_COORD_2D, 3),
+        ),
+        (
+            "varden",
+            workloads::varden::<2>(200_000, workloads::DEFAULT_MAX_COORD_2D, 3),
+        ),
+    ] {
+        group.bench_with_input(
+            BenchmarkId::new("hybrid_sort_keys_hilbert", name),
+            &points,
+            |b, points: &Vec<PointI<2>>| {
+                b.iter(|| hybrid_sort_keys(points, <HilbertCurve as SfcCurve<2>>::encode))
+            },
+        );
+    }
 
     let counts: Vec<usize> = (0..1_000_000).map(|i| i % 7).collect();
     group.bench_function("exclusive_scan_1M", |b| b.iter(|| exclusive_scan(&counts)));

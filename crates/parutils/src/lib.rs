@@ -15,9 +15,10 @@
 //!   P-Orth tree, Alg. 1 line 6): a stable parallel counting-sort pass that
 //!   reorders a point sequence so that all points falling into the same bucket
 //!   of a tree skeleton become contiguous, returning the bucket boundaries,
-//! * [`sort`] — a parallel sample sort over `(u64 key, u32 id)` pairs plus the
-//!   paper's **HybridSort** (Alg. 3), which sorts `⟨code, id⟩` pairs whose
-//!   codes one parallel pass computes before the sort,
+//! * [`sort`] — a parallel MSD integer sort on a `u64` key (after
+//!   DovetailSort) plus the paper's **HybridSort** (Alg. 3), which computes
+//!   each point's code inside the sort's first distribution pass and sorts
+//!   `⟨code, id⟩` pairs,
 //! * [`cow`] — copy-on-write access to `Arc`-shared tree nodes (path
 //!   copying), counting every node a shared path forces a copy of,
 //! * [`stats`] — lightweight atomic instrumentation counters used by the
@@ -37,7 +38,7 @@ pub mod stats;
 
 pub use scan::{exclusive_scan, exclusive_scan_inplace};
 pub use sieve::{sieve, sieve_by, SieveResult};
-pub use sort::{hybrid_sort_keys, par_sort_by_key, par_sort_unstable};
+pub use sort::{hybrid_sort_keys, par_integer_sort, par_sort_unstable};
 
 /// Grain size below which parallel primitives switch to their sequential
 /// implementation. Chosen so per-task work comfortably exceeds the cost of a

@@ -1,6 +1,6 @@
 //! Parallel prefix sums (exclusive scan).
 //!
-//! Used throughout the sieve and sample-sort passes to turn per-block counts
+//! Used by the sieve passes to turn per-block counts
 //! into scatter offsets. The implementation is the classic two-pass blocked
 //! scan: per-block sums are reduced in parallel, scanned sequentially (the
 //! number of blocks is small), and the per-block offsets are then applied in

@@ -15,8 +15,7 @@
 //! 3. scatter each block's items to their final positions in parallel.
 //!
 //! The scatter is stable: two items in the same bucket keep their relative
-//! input order, which the P-Orth tree relies on only for determinism, and the
-//! sample sort relies on for its recursion.
+//! input order, which the P-Orth tree relies on for determinism.
 
 use crate::scan::exclusive_scan_inplace;
 use crate::SEQ_THRESHOLD;
@@ -33,14 +32,16 @@ pub type SieveResult = Vec<usize>;
 /// offsets computed from the exclusive scan partition the output), so no two
 /// threads ever alias the same element and every element is initialised before
 /// the buffer is read.
-struct ScatterBuf<'a, T> {
+pub(crate) struct ScatterBuf<'a, T> {
     slots: &'a [UnsafeCell<T>],
 }
 
+// SAFETY: shared use only writes, each slot from one task (the contract
+// above), so sharing the buffer sends each `T` to exactly one thread.
 unsafe impl<T: Send> Sync for ScatterBuf<'_, T> {}
 
 impl<'a, T> ScatterBuf<'a, T> {
-    fn new(slice: &'a mut [T]) -> Self {
+    pub(crate) fn new(slice: &'a mut [T]) -> Self {
         // SAFETY: `UnsafeCell<T>` has the same layout as `T`; we hold the only
         // mutable borrow of `slice` for the lifetime of the scatter.
         let slots = unsafe {
@@ -50,7 +51,7 @@ impl<'a, T> ScatterBuf<'a, T> {
     }
 
     #[inline(always)]
-    unsafe fn write(&self, idx: usize, value: T) {
+    pub(crate) unsafe fn write(&self, idx: usize, value: T) {
         // SAFETY: caller guarantees exclusive access to `idx` (see struct docs).
         unsafe { *self.slots[idx].get() = value };
     }

@@ -1,116 +1,141 @@
-//! Parallel sorting: sample sort and the paper's **HybridSort**.
+//! Parallel sorting: an MSD integer sort and the paper's **HybridSort**.
 //!
-//! The SPaC-tree construction (Alg. 3) does not sort points directly; it sorts
-//! lightweight `⟨code, id⟩` pairs where `code` is the SFC key and `id` indexes
-//! the original point array, so the sort moves 12-byte pairs instead of full
+//! Every sort in the library orders records by a `u64` code first (an SFC
+//! key, or the value itself), so one parallel most-significant-digit integer
+//! sort, [`par_integer_sort`], serves them all. It follows DovetailSort (Dong,
+//! Dhulipala, Gu and Sun, *Parallel Integer Sort: Theory and Practice*,
+//! PPoPP '24) in outline:
+//!
+//! * each level sorts on a digit of up to 12 bits just below the bits that
+//!   every code of the range shares, found from the range's smallest and
+//!   largest code;
+//! * a blocked counting pass builds per-block histograms, a bucket-major
+//!   scan turns them into offsets, and one out-of-place scatter moves every
+//!   record to its bucket, stably;
+//! * buckets above 64 k records recurse on the next digit, so
+//!   clustered codes do not end in one large comparison sort; smaller
+//!   buckets finish with `sort_unstable_by_key` on the full order key, and a
+//!   range whose codes are all equal finishes with the pool's parallel
+//!   comparison sort.
+//!
+//! The levels alternate between the input and one scratch buffer of the
+//! same length, so the sort allocates one copy of the input and the
+//! histograms.
+//!
+//! [`hybrid_sort_keys`] is the paper's HybridSort (Alg. 3). The SPaC-tree
+//! construction does not sort points directly; it sorts lightweight
+//! `⟨code, id⟩` pairs, where `code` is the SFC key and `id` indexes the
+//! original point array, so the sort moves 12-byte pairs instead of full
 //! `⟨code, point⟩` records (§4.1 credits HybridSort with a large share of the
-//! 3.1–3.5× speed-up over the plain CPAM adaptation). The paper computes each
-//! code inside the sort's first distribution pass; here one parallel map reads
-//! every point once, computes its code and writes the pair array, and the
-//! sample sort then runs on the pairs alone.
-//!
-//! [`par_sort_by_key`] is a general parallel sample sort used wherever an index
-//! needs to order things (batch preprocessing, Zd-tree Morton presort, leaf
-//! re-sorting). [`hybrid_sort_keys`] is the `⟨code, id⟩` variant.
+//! 3.1–3.5× speed-up over the plain CPAM adaptation). As in the paper, each
+//! code is computed inside the sort's first distribution pass: the counting
+//! pass reads every point once, computes its code, writes its pair and
+//! counts its bucket, and the scatter then moves the pairs. No separate
+//! encoding pass exists.
 
-use crate::sieve::sieve_by;
+use crate::sieve::ScatterBuf;
 use crate::{par2, SEQ_THRESHOLD};
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
 
-/// Oversampling factor of the sample sort: the number of samples taken per
-/// output bucket. Larger values give more even buckets at slightly higher
-/// sampling cost.
-const OVERSAMPLE: usize = 8;
-/// Maximum fan-out of one sample-sort round.
-const MAX_BUCKETS: usize = 256;
+/// Most bits one distribution level sorts on (at most 4 096 buckets).
+const DIGIT_BITS: u32 = 12;
+/// Buckets with more records than this recurse on the next digit; smaller
+/// ones finish with a sequential comparison sort. Measured over 1 M records
+/// on 2 vCPUs: on Hilbert pairs of Varden and uniform points, cutoffs from
+/// 4 k to 256 k records sort within run-to-run noise; on codes where one
+/// bucket holds 99 % of the records, recursing (any of those cutoffs) saves
+/// about 15 % against finishing that bucket with one comparison sort.
+const RECURSE_CUTOFF: usize = 1 << 16;
+/// Records per sequential task when the buckets of one level are finished.
+const FINISH_GRAIN: usize = 8 * SEQ_THRESHOLD;
+/// Smallest block of the counting and scatter passes, so that one block's
+/// histogram is small against the records it counts.
+const MIN_BLOCK: usize = 8 * SEQ_THRESHOLD;
+/// Codes HybridSort samples to choose the digit of its first pass.
+const SAMPLE: usize = 1024;
 
-/// Sort `data` in parallel by the key produced by `key`. Not stable.
-pub fn par_sort_by_key<T, K, F>(data: &mut [T], key: F)
+/// The digit of one level: `(code - lo) >> shift`, clamped to `max`.
+#[derive(Clone, Copy)]
+struct Digit {
+    lo: u64,
+    shift: u32,
+    max: u64,
+}
+
+impl Digit {
+    /// The digit for `n` records whose codes lie in `lo..=hi`: about one
+    /// bucket per 16 records, and at most `2^DIGIT_BITS` buckets.
+    fn new(lo: u64, hi: u64, n: usize) -> Digit {
+        let bits = (usize::BITS - (n / 16).leading_zeros()).clamp(1, DIGIT_BITS);
+        let shift = (u64::BITS - (hi - lo).leading_zeros()).saturating_sub(bits);
+        Digit {
+            lo,
+            shift,
+            max: (hi - lo) >> shift,
+        }
+    }
+
+    fn buckets(self) -> usize {
+        self.max as usize + 1
+    }
+
+    /// The bucket of `code`. Monotone in `code`, and codes outside `lo..=hi`
+    /// land in the end buckets, so a digit chosen from a sample of the codes
+    /// still partitions every code in order.
+    #[inline(always)]
+    fn of(self, code: u64) -> usize {
+        ((code.saturating_sub(self.lo) >> self.shift).min(self.max)) as usize
+    }
+}
+
+/// Block length of the counting and scatter passes over `n` records: about
+/// four blocks per worker.
+fn block_len(n: usize) -> usize {
+    let blocks = (rayon::current_num_threads() * 4)
+        .min(n.div_ceil(MIN_BLOCK))
+        .max(1);
+    n.div_ceil(blocks)
+}
+
+/// Sort `data` in parallel by `full`. `radix` must be the most significant
+/// part of that order: `radix(a) < radix(b)` implies `full(a) < full(b)`
+/// (for example `|e| e.0` and `|e| (e.0, e.1)`). Not stable; records with
+/// equal full keys may change places.
+pub fn par_integer_sort<T, K, R, F>(data: &mut [T], radix: R, full: F)
 where
     T: Copy + Send + Sync,
-    K: Ord + Copy + Send + Sync,
+    K: Ord,
+    R: Fn(&T) -> u64 + Sync + Copy,
     F: Fn(&T) -> K + Sync + Copy,
 {
     let n = data.len();
     if n <= SEQ_THRESHOLD {
-        data.sort_unstable_by_key(key);
+        data.sort_unstable_by_key(full);
         return;
     }
-
-    // Choose the fan-out so each bucket is expected to be ~SEQ_THRESHOLD or we
-    // recurse at most a couple of times.
-    let nbuckets = (n / SEQ_THRESHOLD).clamp(2, MAX_BUCKETS);
-
-    // Sample and pick pivots.
-    let sample_count = nbuckets * OVERSAMPLE;
-    let mut samples: Vec<K> = (0..sample_count)
-        .map(|i| key(&data[(i * (n / sample_count)).min(n - 1)]))
-        .collect();
-    samples.sort_unstable();
-    let pivots: Vec<K> = (1..nbuckets).map(|i| samples[i * OVERSAMPLE]).collect();
-
-    // Degenerate sample (heavily duplicated keys): fall back to a direct sort
-    // rather than recursing with no progress.
-    if pivots.windows(2).all(|w| w[0] == w[1]) && !pivots.is_empty() {
-        data.par_sort_unstable_by_key(key);
-        return;
-    }
-
-    // Distribute into buckets with one sieve pass.
-    let offsets = sieve_by(data, nbuckets, |x| {
-        let k = key(x);
-        pivots.partition_point(|p| *p <= k)
-    });
-
-    // Recurse on buckets in parallel: a binary fork-join over the bucket
-    // list, so every level of the recursion is a task on the worker pool's
-    // deques (rather than a flat nested job per level) and uneven bucket
-    // sizes rebalance through work stealing.
-    let mut slices: Vec<&mut [T]> = Vec::with_capacity(nbuckets);
-    let mut rest = data;
-    for w in offsets.windows(2) {
-        let len = w[1] - w[0];
-        let (head, tail) = rest.split_at_mut(len);
-        slices.push(head);
-        rest = tail;
-    }
-    sort_buckets(&mut slices, key);
+    let mut scratch: Vec<T> = Vec::with_capacity(n);
+    msd(
+        data,
+        &mut scratch.spare_capacity_mut()[..n],
+        true,
+        radix,
+        full,
+    );
 }
 
-/// Sort each bucket, forking the bucket list in halves via [`par2`].
-fn sort_buckets<T, K, F>(slices: &mut [&mut [T]], key: F)
-where
-    T: Copy + Send + Sync,
-    K: Ord + Copy + Send + Sync,
-    F: Fn(&T) -> K + Sync + Copy,
-{
-    match slices {
-        [] => {}
-        [s] => {
-            if s.len() > SEQ_THRESHOLD {
-                par_sort_by_key(s, key);
-            } else {
-                s.sort_unstable_by_key(key);
-            }
-        }
-        _ => {
-            let mid = slices.len() / 2;
-            let (left, right) = slices.split_at_mut(mid);
-            par2(|| sort_buckets(left, key), || sort_buckets(right, key));
-        }
-    }
+/// Parallel unstable sort of a `u64` slice: [`par_integer_sort`] with the
+/// value as both keys.
+pub fn par_sort_unstable(data: &mut [u64]) {
+    par_integer_sort(data, |&x| x, |&x| x);
 }
 
-/// Parallel unstable sort of an `Ord` slice (convenience wrapper).
-pub fn par_sort_unstable<T: Ord + Copy + Send + Sync>(data: &mut [T]) {
-    par_sort_by_key(data, |x| *x);
-}
-
-/// The paper's HybridSort (Alg. 3, lines 5–19): produce the sequence of
-/// `⟨code, id⟩` pairs for `points`, sorted by code (ties broken by id for
-/// determinism). Each point's code is computed exactly once, by a parallel map
-/// that writes the pair array before the sample sort starts; the points are
-/// not read again.
+/// The paper's HybridSort (Alg. 3, lines 5–19): the `⟨code, id⟩` pairs of
+/// `points`, sorted by code with ties broken by id. Each point is read once,
+/// by the first distribution pass, which computes its code while it writes
+/// its pair and counts its bucket. That pass chooses its digit from the codes
+/// of 1 024 evenly spaced points (the other codes do not exist yet), so above
+/// 2 048 points `code_of` runs `n + 1024` times.
 pub fn hybrid_sort_keys<P, F>(points: &[P], code_of: F) -> Vec<(u64, u32)>
 where
     P: Sync,
@@ -118,17 +143,210 @@ where
 {
     let n = points.len();
     assert!(n <= u32::MAX as usize, "point ids are 32-bit");
+    if n <= SEQ_THRESHOLD {
+        let mut pairs: Vec<(u64, u32)> = points
+            .iter()
+            .zip(0..)
+            .map(|(p, i)| (code_of(p), i))
+            .collect();
+        pairs.sort_unstable();
+        return pairs;
+    }
 
-    // First (and only) touch of the point data: compute codes in parallel while
-    // materialising the lightweight pair array the rest of the sort works on.
-    let mut pairs: Vec<(u64, u32)> = points
-        .par_iter()
+    let (lo, hi) = (0..SAMPLE)
+        .map(|s| code_of(&points[s * n / SAMPLE]))
+        .fold((u64::MAX, 0), |(lo, hi), c| (lo.min(c), hi.max(c)));
+    let digit = Digit::new(lo, hi, n);
+    let block = block_len(n);
+    let mut hist = vec![0usize; n.div_ceil(block) * digit.buckets()];
+    // The result is allocated before the scratch, so that the scratch, freed
+    // first, tends to sit on top of the allocator's heap, where the caller's
+    // next allocation can reuse it.
+    let mut sorted: Vec<(u64, u32)> = Vec::with_capacity(n);
+    let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(n);
+    points
+        .par_chunks(block)
+        .zip(pairs.spare_capacity_mut()[..n].par_chunks_mut(block))
+        .zip(hist.par_chunks_mut(digit.buckets()))
         .enumerate()
-        .map(|(i, p)| (code_of(p), i as u32))
-        .collect();
+        .for_each(|(b, ((chunk, out), counts))| {
+            let first = b * block;
+            for (j, (p, slot)) in chunk.iter().zip(out).enumerate() {
+                let code = code_of(p);
+                slot.write((code, (first + j) as u32));
+                counts[digit.of(code)] += 1;
+            }
+        });
+    // SAFETY: the chunks of `out` cover `0..n` and the pass wrote every slot.
+    unsafe { pairs.set_len(n) };
 
-    par_sort_by_key(&mut pairs, |&(c, i)| (c, i));
-    pairs
+    let code = |e: &(u64, u32)| e.0;
+    let bounds = scatter(
+        &pairs,
+        &mut sorted.spare_capacity_mut()[..n],
+        block,
+        digit,
+        hist,
+        code,
+    );
+    // SAFETY: `scatter` wrote every slot of `0..n`.
+    unsafe { sorted.set_len(n) };
+    finish(&mut pairs, &mut sorted, &bounds, false, code, |e| *e);
+    sorted
+}
+
+/// Sort `src` by `full` with `dst` as the other buffer. The result lands in
+/// `src` when `back` is set and in `dst` otherwise.
+fn msd<T, K, R, F>(src: &mut [T], dst: &mut [MaybeUninit<T>], back: bool, radix: R, full: F)
+where
+    T: Copy + Send + Sync,
+    K: Ord,
+    R: Fn(&T) -> u64 + Sync + Copy,
+    F: Fn(&T) -> K + Sync + Copy,
+{
+    let n = src.len();
+    let block = block_len(n);
+    let (lo, hi) = src
+        .par_chunks(block)
+        .map(|c| {
+            c.iter().fold((u64::MAX, 0), |(lo, hi), x| {
+                (lo.min(radix(x)), hi.max(radix(x)))
+            })
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .fold((u64::MAX, 0), |(lo, hi), (l, h)| (lo.min(l), hi.max(h)));
+    if lo == hi {
+        // Every code is equal: only the full key orders the range.
+        src.par_sort_unstable_by_key(full);
+        if !back {
+            for (d, s) in dst.iter_mut().zip(src.iter()) {
+                d.write(*s);
+            }
+        }
+        return;
+    }
+
+    let digit = Digit::new(lo, hi, n);
+    let mut hist = vec![0usize; n.div_ceil(block) * digit.buckets()];
+    src.par_chunks(block)
+        .zip(hist.par_chunks_mut(digit.buckets()))
+        .for_each(|(chunk, counts)| {
+            for x in chunk {
+                counts[digit.of(radix(x))] += 1;
+            }
+        });
+    let bounds = scatter(src, dst, block, digit, hist, radix);
+    // SAFETY: `scatter` wrote every slot of `dst`.
+    let dst = unsafe { assume_init(dst) };
+    finish(src, dst, &bounds, back, radix, full);
+}
+
+/// Move every record of `src` to its bucket in `dst`, stably. `hist` holds
+/// one row of `digit.buckets()` counts per block of `block` records. Every
+/// slot of `dst` is written; the result is the bucket boundaries
+/// (`buckets + 1` offsets from 0 to `src.len()`).
+fn scatter<T, R>(
+    src: &[T],
+    dst: &mut [MaybeUninit<T>],
+    block: usize,
+    digit: Digit,
+    mut hist: Vec<usize>,
+    radix: R,
+) -> Vec<usize>
+where
+    T: Copy + Send + Sync,
+    R: Fn(&T) -> u64 + Sync,
+{
+    debug_assert_eq!(src.len(), dst.len());
+    let nb = digit.buckets();
+    let blocks = hist.len() / nb;
+    // Bucket-major exclusive scan, in place: each count becomes the offset at
+    // which that block's records of that bucket start.
+    let mut acc = 0;
+    for k in 0..nb {
+        for b in 0..blocks {
+            let c = hist[b * nb + k];
+            hist[b * nb + k] = acc;
+            acc += c;
+        }
+    }
+    debug_assert_eq!(acc, src.len());
+    let mut bounds = hist[..nb].to_vec();
+    bounds.push(src.len());
+
+    let out = ScatterBuf::new(dst);
+    src.par_chunks(block)
+        .zip(hist.par_chunks_mut(nb))
+        .for_each(|(chunk, cursor)| {
+            for x in chunk {
+                let k = digit.of(radix(x));
+                // SAFETY: the scan gave this block's records of bucket `k` the
+                // run `cursor[k]..` up to the next block's start, and runs of
+                // different (block, bucket) pairs are disjoint and cover `dst`,
+                // so no other task writes this slot.
+                unsafe { out.write(cursor[k], MaybeUninit::new(*x)) };
+                cursor[k] += 1;
+            }
+        });
+    bounds
+}
+
+/// Finish one level. Bucket `i` of `dst` holds its records at
+/// `bounds[i] - bounds[0]..bounds[i + 1] - bounds[0]`; sort each, and leave
+/// the result in `src` when `back` is set, in `dst` otherwise.
+fn finish<T, K, R, F>(src: &mut [T], dst: &mut [T], bounds: &[usize], back: bool, radix: R, full: F)
+where
+    T: Copy + Send + Sync,
+    K: Ord,
+    R: Fn(&T) -> u64 + Sync + Copy,
+    F: Fn(&T) -> K + Sync + Copy,
+{
+    let base = bounds[0];
+    if bounds.len() > 2 && dst.len() > FINISH_GRAIN {
+        let mid = bounds.len() / 2;
+        let (s0, s1) = src.split_at_mut(bounds[mid] - base);
+        let (d0, d1) = dst.split_at_mut(bounds[mid] - base);
+        par2(
+            || finish(s0, d0, &bounds[..=mid], back, radix, full),
+            || finish(s1, d1, &bounds[mid..], back, radix, full),
+        );
+        return;
+    }
+    for w in bounds.windows(2) {
+        let range = w[0] - base..w[1] - base;
+        let (s, d) = (&mut src[range.clone()], &mut dst[range]);
+        if d.len() > RECURSE_CUTOFF {
+            // SAFETY: `msd` writes only initialised records into its `dst`,
+            // so `s` stays initialised.
+            msd(d, unsafe { as_uninit(s) }, !back, radix, full);
+        } else {
+            d.sort_unstable_by_key(full);
+            if back {
+                s.copy_from_slice(d);
+            }
+        }
+    }
+}
+
+/// View an initialised slice as uninitialised slots.
+///
+/// # Safety
+/// The caller must write only initialised values through the result.
+unsafe fn as_uninit<T>(s: &mut [T]) -> &mut [MaybeUninit<T>] {
+    // SAFETY: `MaybeUninit<T>` has the layout of `T`; the caller keeps the
+    // slots initialised.
+    unsafe { &mut *(s as *mut [T] as *mut [MaybeUninit<T>]) }
+}
+
+/// View slots as initialised records.
+///
+/// # Safety
+/// Every slot of `s` must be initialised.
+unsafe fn assume_init<T>(s: &mut [MaybeUninit<T>]) -> &mut [T] {
+    // SAFETY: `MaybeUninit<T>` has the layout of `T`, and the caller
+    // guarantees every slot holds a valid `T`.
+    unsafe { &mut *(s as *mut [MaybeUninit<T>] as *mut [T]) }
 }
 
 #[cfg(test)]
@@ -183,13 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_key_uses_key_only() {
-        let mut v: Vec<(u64, u64)> = (0..50_000u64).map(|i| (i, 50_000 - i)).collect();
-        par_sort_by_key(&mut v, |&(_, b)| b);
-        assert!(v.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
     fn hybrid_sort_small() {
         let points = vec![30u64, 10, 20, 10];
         let sorted = hybrid_sort_keys(&points, |&p| p);
@@ -210,7 +421,115 @@ mod tests {
         assert_eq!(got, expect);
     }
 
+    /// `n` codes of one of the shapes the integer sort must handle, in the
+    /// given order (0 as drawn, 1 sorted, 2 reversed).
+    fn shaped_codes(shape: usize, order: usize, n: usize, rng: &mut impl rand::Rng) -> Vec<u64> {
+        let a: u64 = rng.gen();
+        let b: u64 = rng.gen();
+        let mut v: Vec<u64> = (0..n)
+            .map(|_| match shape {
+                0 => a,
+                1 => {
+                    if rng.gen_bool(0.5) {
+                        a
+                    } else {
+                        b
+                    }
+                }
+                2 => (a & !1) | rng.gen_range(0..2u64),
+                3 => 1 << 63 | rng.gen_range(0..1u64 << 20),
+                4 => {
+                    if rng.gen_bool(0.01) {
+                        u64::MAX
+                    } else {
+                        rng.gen_range(0..1u64 << 20)
+                    }
+                }
+                5 => rng.gen_range(0..1u64 << 16),
+                _ => rng.gen(),
+            })
+            .collect();
+        match order {
+            1 => v.sort_unstable(),
+            2 => v.sort_unstable_by(|x, y| y.cmp(x)),
+            _ => {}
+        }
+        v
+    }
+
+    /// Lengths at the sort's thresholds.
+    const EDGE_LENS: [usize; 8] = [
+        0,
+        1,
+        SEQ_THRESHOLD - 1,
+        SEQ_THRESHOLD,
+        SEQ_THRESHOLD + 1,
+        RECURSE_CUTOFF - 1,
+        RECURSE_CUTOFF,
+        RECURSE_CUTOFF + 1,
+    ];
+
+    /// The integer sort of `(code, payload)` records equals
+    /// `sort_unstable_by_key` on the full key.
+    fn check_against_std(codes: &[u64], payload_range: u32, rng: &mut impl rand::Rng) {
+        let mut v: Vec<(u64, u32)> = codes
+            .iter()
+            .map(|&c| (c, rng.gen_range(0..payload_range)))
+            .collect();
+        let mut expect = v.clone();
+        expect.sort_unstable_by_key(|e| (e.0, e.1));
+        par_integer_sort(&mut v, |e| e.0, |e| (e.0, e.1));
+        assert_eq!(v, expect);
+    }
+
+    #[test]
+    fn a_bucket_at_the_cutoff_recurses_or_finishes() {
+        // One `u64::MAX` code puts every other record into bucket 0, so that
+        // bucket holds exactly `m` records.
+        let mut rng = StdRng::seed_from_u64(5);
+        for m in [RECURSE_CUTOFF - 1, RECURSE_CUTOFF, RECURSE_CUTOFF + 1] {
+            let mut codes: Vec<u64> = (0..m).map(|_| rng.gen_range(0..1u64 << 30)).collect();
+            codes.push(u64::MAX);
+            check_against_std(&codes, u32::MAX, &mut rng);
+            // The same with every small code equal: the bucket's next level
+            // is the all-equal finish.
+            let mut codes = vec![3u64; m];
+            codes.push(u64::MAX);
+            check_against_std(&codes, 1000, &mut rng);
+        }
+    }
+
+    #[test]
+    fn hybrid_sort_at_the_thresholds() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in EDGE_LENS {
+            let points: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1u64 << 24)).collect();
+            let got = hybrid_sort_keys(&points, |&p| p);
+            let mut expect: Vec<(u64, u32)> =
+                points.iter().zip(0..).map(|(&p, i)| (p, i)).collect();
+            expect.sort_unstable();
+            assert_eq!(got, expect);
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn integer_sort_matches_std(
+            shape in 0usize..7,
+            order in 0usize..3,
+            len in 0usize..EDGE_LENS.len() + 2,
+            random_len in 0usize..20_000,
+            payload_range in 1u32..100_000,
+            seed in 0u64..,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = EDGE_LENS.get(len).copied().unwrap_or(random_len);
+            let codes = shaped_codes(shape, order, n, &mut rng);
+            check_against_std(&codes, payload_range, &mut rng);
+        }
+
         #[test]
         fn par_sort_matches_std(v in proptest::collection::vec(0u64..1000, 0..5000)) {
             let mut a = v.clone();

@@ -2,20 +2,22 @@
 //!
 //! Two paths are provided, selected by [`SpacConfig::presort`]:
 //!
-//! * **HybridSort path** (SPaC, the paper's contribution): one parallel pass
-//!   computes each point's SFC code into a lightweight `⟨code, id⟩` pair, and
-//!   only the pairs travel through the recursive sort; the points themselves
-//!   are fetched once at the end, when leaves are formed.
+//! * **HybridSort path** (SPaC, the paper's contribution): the first
+//!   distribution pass of a parallel MSD integer sort (after DovetailSort)
+//!   computes each point's SFC code as it writes the lightweight
+//!   `⟨code, id⟩` pair, and only the pairs travel through the sort's later
+//!   passes; the points themselves are fetched once at the end, when leaves
+//!   are formed.
 //! * **Presort path** (CPAM baseline): codes are computed for all points in a
-//!   separate preprocessing pass, full `⟨code, point⟩` records are sorted, and
-//!   the tree is built from the sorted records — the straightforward adaptation
+//!   separate preprocessing pass, full `⟨code, point⟩` records are sorted
+//!   (by the same integer sort), and the tree is built from the sorted records — the straightforward adaptation
 //!   the paper measures as ~3× slower.
 
 use crate::pac::{build_sorted_entries, PNode, SpacConfig};
 use crate::Entry;
 use psi_geometry::PointI;
 use psi_parutils::stats::counters;
-use psi_parutils::{hybrid_sort_keys, par_sort_by_key};
+use psi_parutils::{hybrid_sort_keys, par_integer_sort};
 use psi_sfc::SfcCurve;
 use rayon::prelude::*;
 
@@ -36,8 +38,8 @@ pub fn build_tree<C: SfcCurve<D>, const D: usize>(
 }
 
 /// Produce the sorted entry sequence with the paper's HybridSort: codes are
-/// computed once into `⟨code, id⟩` pairs, and only the pairs are moved until
-/// the final gather.
+/// computed once, inside the sort's first distribution pass, into
+/// `⟨code, id⟩` pairs, and only the pairs are moved until the final gather.
 pub fn hybrid_entries<C: SfcCurve<D>, const D: usize>(points: &[PointI<D>]) -> Vec<Entry<D>> {
     let pairs = hybrid_sort_keys(points, |p| {
         counters::CODES_COMPUTED.bump();
@@ -61,7 +63,7 @@ pub fn presort_entries<C: SfcCurve<D>, const D: usize>(points: &[PointI<D>]) -> 
             (C::encode(p), *p)
         })
         .collect();
-    par_sort_by_key(&mut entries, |e| (e.0, e.1));
+    par_integer_sort(&mut entries, |e| e.0, |e| (e.0, e.1));
     entries
 }
 
@@ -96,6 +98,22 @@ mod tests {
         // And both are sorted by code.
         assert!(a.windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(b.windows(2).all(|w| w[0].0 <= w[1].0));
+    }
+
+    #[test]
+    fn hybrid_entries_equal_the_code_id_reference_on_varden() {
+        let pts = psi_workloads::varden::<2>(200_000, psi_workloads::DEFAULT_MAX_COORD_2D, 42);
+        let mut pairs: Vec<(u64, u32)> = pts
+            .iter()
+            .zip(0..)
+            .map(|(p, i)| (<HilbertCurve as SfcCurve<2>>::encode(p), i))
+            .collect();
+        pairs.sort_unstable();
+        let expect: Vec<Entry<2>> = pairs
+            .iter()
+            .map(|&(code, id)| (code, pts[id as usize]))
+            .collect();
+        assert_eq!(hybrid_entries::<HilbertCurve, 2>(&pts), expect);
     }
 
     #[test]

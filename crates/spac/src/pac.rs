@@ -38,9 +38,11 @@ pub struct SpacConfig {
     /// a join needs to expose the leaf.
     pub sorted_leaves: bool,
     /// Build the CPAM way: encode every point into a full `⟨code, point⟩`
-    /// record and sort the records. When `false` (the paper's HybridSort),
-    /// codes go into lightweight `⟨code, id⟩` pairs, only the pairs are
-    /// sorted, and the points are gathered once at the end.
+    /// record in a separate pass and sort the records. When `false` (the
+    /// paper's HybridSort), the first distribution pass of the MSD integer
+    /// sort computes each code as it writes a lightweight `⟨code, id⟩` pair,
+    /// only the pairs are sorted, and the points are gathered once at the
+    /// end.
     pub presort: bool,
 }
 

@@ -27,7 +27,7 @@
 
 use psi_geometry::{Coord, KnnHeap, PointI, Rect, RectI};
 use psi_parutils::stats::counters;
-use psi_parutils::{cow, par_sort_by_key, SEQ_THRESHOLD};
+use psi_parutils::{cow, par_integer_sort, SEQ_THRESHOLD};
 use psi_sfc::{bits_per_dim, MortonCurve, SfcCurve};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -300,7 +300,7 @@ where
                 (<MortonCurve as SfcCurve<D>>::encode(p), *p)
             })
             .collect();
-        par_sort_by_key(&mut entries, |e| (e.0, e.1));
+        par_integer_sort(&mut entries, |e| e.0, |e| (e.0, e.1));
         counters::POINTS_MOVED.add(entries.len() as u64);
         let root = build_rec(&entries, 0, &cfg);
         ZdTree { root, cfg }
@@ -347,7 +347,7 @@ where
             .par_iter()
             .map(|p| (<MortonCurve as SfcCurve<D>>::encode(p), *p))
             .collect();
-        par_sort_by_key(&mut batch, |e| (e.0, e.1));
+        par_integer_sort(&mut batch, |e| e.0, |e| (e.0, e.1));
         insert_rec(&mut self.root, &batch, 0, &self.cfg);
     }
 
@@ -361,7 +361,7 @@ where
             .par_iter()
             .map(|p| (<MortonCurve as SfcCurve<D>>::encode(p), *p))
             .collect();
-        par_sort_by_key(&mut batch, |e| (e.0, e.1));
+        par_integer_sort(&mut batch, |e| e.0, |e| (e.0, e.1));
         delete_rec(&mut self.root, &batch, 0, &self.cfg);
         before - self.len()
     }

@@ -16,7 +16,7 @@
 
 use psi::registry::{self, BuildOptions};
 use psi::{PointI, SpatialIndex, ZdTree};
-use psi_parutils::{exclusive_scan, hybrid_sort_keys, par_chunks, par_sort_by_key, sieve_by};
+use psi_parutils::{exclusive_scan, hybrid_sort_keys, par_chunks, par_integer_sort, sieve_by};
 use psi_workloads as workloads;
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -135,10 +135,10 @@ fn par_sort_matches_sequential_and_is_stable() {
 #[test]
 fn parutils_primitives_match_sequential() {
     let v: Vec<u64> = (0..80_000).map(|i| (i * 2654435761u64) % 10_007).collect();
-    // par_sort_by_key (sample sort over pool + join).
+    // par_integer_sort (MSD integer sort over pool + join).
     let sorted = assert_thread_invariant(|| {
         let mut w = v.clone();
-        par_sort_by_key(&mut w, |&x| x);
+        par_integer_sort(&mut w, |&x| x, |&x| x);
         w
     });
     assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
