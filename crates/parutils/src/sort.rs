@@ -14,9 +14,10 @@
 //!   record to its bucket, stably;
 //! * buckets above 64 k records recurse on the next digit, so
 //!   clustered codes do not end in one large comparison sort; smaller
-//!   buckets finish with `sort_unstable_by_key` on the full order key, and a
-//!   range whose codes are all equal finishes with the pool's parallel
-//!   comparison sort.
+//!   buckets finish with a comparison sort on the full order key, the pool's
+//!   parallel one above [`SEQ_THRESHOLD`] records and `sort_unstable_by_key`
+//!   below, and a range whose codes are all equal finishes with the pool's
+//!   parallel comparison sort.
 //!
 //! The levels alternate between the input and one scratch buffer of the
 //! same length, so the sort allocates one copy of the input and the
@@ -47,12 +48,7 @@ const DIGIT_BITS: u32 = 12;
 /// bucket holds 99 % of the records, recursing (any of those cutoffs) saves
 /// about 15 % against finishing that bucket with one comparison sort.
 const RECURSE_CUTOFF: usize = 1 << 16;
-/// Records per sequential task when the buckets of one level are finished.
-const FINISH_GRAIN: usize = 8 * SEQ_THRESHOLD;
-/// Smallest block of the counting and scatter passes, so that one block's
-/// histogram is small against the records it counts.
-const MIN_BLOCK: usize = 8 * SEQ_THRESHOLD;
-/// Codes HybridSort samples to choose the digit of its first pass.
+/// Most codes HybridSort samples to choose the digit of its first pass.
 const SAMPLE: usize = 1024;
 
 /// The digit of one level: `(code - lo) >> shift`, clamped to `max`.
@@ -89,11 +85,12 @@ impl Digit {
     }
 }
 
-/// Block length of the counting and scatter passes over `n` records: about
-/// four blocks per worker.
+/// Block length of the counting and scatter passes over `n` records: one
+/// block per [`SEQ_THRESHOLD`] records or part of it, and at most four
+/// blocks per worker.
 fn block_len(n: usize) -> usize {
     let blocks = (rayon::current_num_threads() * 4)
-        .min(n.div_ceil(MIN_BLOCK))
+        .min(n.div_ceil(SEQ_THRESHOLD))
         .max(1);
     n.div_ceil(blocks)
 }
@@ -134,8 +131,8 @@ pub fn par_sort_unstable(data: &mut [u64]) {
 /// `points`, sorted by code with ties broken by id. Each point is read once,
 /// by the first distribution pass, which computes its code while it writes
 /// its pair and counts its bucket. That pass chooses its digit from the codes
-/// of 1 024 evenly spaced points (the other codes do not exist yet), so above
-/// 2 048 points `code_of` runs `n + 1024` times.
+/// of `min(1024, n / 16)` evenly spaced points (the other codes do not exist
+/// yet), so above 2 048 points `code_of` runs at most `n + n / 16` times.
 pub fn hybrid_sort_keys<P, F>(points: &[P], code_of: F) -> Vec<(u64, u32)>
 where
     P: Sync,
@@ -153,8 +150,9 @@ where
         return pairs;
     }
 
-    let (lo, hi) = (0..SAMPLE)
-        .map(|s| code_of(&points[s * n / SAMPLE]))
+    let samples = SAMPLE.min(n / 16);
+    let (lo, hi) = (0..samples)
+        .map(|s| code_of(&points[s * n / samples]))
         .fold((u64::MAX, 0), |(lo, hi), c| (lo.min(c), hi.max(c)));
     let digit = Digit::new(lo, hi, n);
     let block = block_len(n);
@@ -303,8 +301,13 @@ where
     F: Fn(&T) -> K + Sync + Copy,
 {
     let base = bounds[0];
-    if bounds.len() > 2 && dst.len() > FINISH_GRAIN {
-        let mid = bounds.len() / 2;
+    if bounds.len() > 2 && dst.len() > SEQ_THRESHOLD {
+        // Split at the bucket boundary nearest half the records, so that a
+        // heavy bucket does not leave one side of the fork almost empty.
+        let half = base + dst.len() / 2;
+        let mid = bounds
+            .partition_point(|&b| b < half)
+            .clamp(1, bounds.len() - 2);
         let (s0, s1) = src.split_at_mut(bounds[mid] - base);
         let (d0, d1) = dst.split_at_mut(bounds[mid] - base);
         par2(
@@ -321,7 +324,13 @@ where
             // so `s` stays initialised.
             msd(d, unsafe { as_uninit(s) }, !back, radix, full);
         } else {
-            d.sort_unstable_by_key(full);
+            if d.len() > SEQ_THRESHOLD {
+                // A heavy bucket (clustered codes) would hold one worker for
+                // the whole level; the pool's sort spreads it.
+                d.par_sort_unstable_by_key(full);
+            } else {
+                d.sort_unstable_by_key(full);
+            }
             if back {
                 s.copy_from_slice(d);
             }
@@ -485,14 +494,22 @@ mod tests {
     #[test]
     fn a_bucket_at_the_cutoff_recurses_or_finishes() {
         // One `u64::MAX` code puts every other record into bucket 0, so that
-        // bucket holds exactly `m` records.
+        // bucket holds exactly `m` records: at `SEQ_THRESHOLD` it finishes
+        // sequentially or with the pool's sort, at `RECURSE_CUTOFF` with the
+        // pool's sort or a recursion.
         let mut rng = StdRng::seed_from_u64(5);
-        for m in [RECURSE_CUTOFF - 1, RECURSE_CUTOFF, RECURSE_CUTOFF + 1] {
+        for m in [
+            SEQ_THRESHOLD,
+            SEQ_THRESHOLD + 1,
+            RECURSE_CUTOFF - 1,
+            RECURSE_CUTOFF,
+            RECURSE_CUTOFF + 1,
+        ] {
             let mut codes: Vec<u64> = (0..m).map(|_| rng.gen_range(0..1u64 << 30)).collect();
             codes.push(u64::MAX);
             check_against_std(&codes, u32::MAX, &mut rng);
-            // The same with every small code equal: the bucket's next level
-            // is the all-equal finish.
+            // The same with every small code equal: above the cutoff the
+            // bucket's next level is the all-equal finish.
             let mut codes = vec![3u64; m];
             codes.push(u64::MAX);
             check_against_std(&codes, 1000, &mut rng);

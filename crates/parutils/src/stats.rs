@@ -33,7 +33,8 @@ pub mod counters {
     pub static NODES_VISITED: Counter = Counter::new();
     /// Leaves whose points had to be (re-)sorted (the SPaC vs CPAM ablation signal).
     pub static LEAVES_SORTED: Counter = Counter::new();
-    /// SFC codes computed.
+    /// SFC codes computed: one per point, plus the digit sample of
+    /// HybridSort's first pass (at most `n / 16` more for `n` points).
     pub static CODES_COMPUTED: Counter = Counter::new();
     /// Join/rebalance operations performed.
     pub static REBALANCES: Counter = Counter::new();

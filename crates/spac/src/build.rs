@@ -10,8 +10,9 @@
 //!   are formed.
 //! * **Presort path** (CPAM baseline): codes are computed for all points in a
 //!   separate preprocessing pass, full `⟨code, point⟩` records are sorted
-//!   (by the same integer sort), and the tree is built from the sorted records — the straightforward adaptation
-//!   the paper measures as ~3× slower.
+//!   (by the same integer sort), and the tree is built from the sorted
+//!   records — the straightforward adaptation the paper measures as ~3×
+//!   slower.
 
 use crate::pac::{build_sorted_entries, PNode, SpacConfig};
 use crate::Entry;
